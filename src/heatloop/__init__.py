@@ -12,13 +12,12 @@ from .controllers import (
     HEATING_AND_COOLING,
     HEATING_ONLY,
     ActuatorMode,
-    FlatGains,
-    IpGains,
-    PiGains,
+    FlatPController,
+    FlatPiController,
+    IpController,
+    PiController,
     clamp,
     flat_feedforward,
-    flat_gains_p,
-    flat_gains_pi,
     ip_control,
     pi_control,
     place_flat_p_gain,
@@ -28,11 +27,7 @@ from .config import ConfigError, load_scenario, parse_scenario, save_scenario, s
 from .engine import (
     ConstantTExt,
     DEFAULT_SWEEP_FACTORS,
-    FlatPController,
-    FlatPiController,
-    IpController,
     Metrics,
-    PiController,
     Scenario,
     SimRecord,
     SimulationError,
@@ -67,17 +62,14 @@ __all__ = [
     "ConstantTExt",
     "DEFAULT_SWEEP_FACTORS",
     "EstimatorState",
-    "FlatGains",
     "FlatPController",
     "FlatPiController",
     "HEATING_AND_COOLING",
     "HEATING_ONLY",
     "IpController",
-    "IpGains",
     "Metrics",
     "NOMINAL",
     "PiController",
-    "PiGains",
     "REFERENCE_GENERATORS",
     "Scenario",
     "Schedule",
@@ -97,8 +89,6 @@ __all__ = [
     "estimate_derivative",
     "exact_step",
     "flat_feedforward",
-    "flat_gains_p",
-    "flat_gains_pi",
     "ip_control",
     "load_scenario",
     "parse_scenario",

@@ -19,14 +19,10 @@ import sys
 from dataclasses import replace
 
 from .config import ConfigError, load_scenario
-from .controllers import HEATING_AND_COOLING, HEATING_ONLY, ActuatorMode
+from .controllers import CONTROLLERS, HEATING_AND_COOLING, HEATING_ONLY, ActuatorMode, default_controller
 from .engine import (
     DEFAULT_SWEEP_FACTORS,
-    FlatPController,
-    FlatPiController,
-    IpController,
     Metrics,
-    PiController,
     Scenario,
     SimRecord,
     SimulationError,
@@ -76,15 +72,15 @@ def comparison_scenarios(base: Scenario) -> list[tuple[str, Scenario]]:
     plant, schedule, outdoor profile, noise and seed."""
     heat = ActuatorMode(mode=HEATING_ONLY, q_max=base.actuator.q_max)
     cool = ActuatorMode(mode=HEATING_AND_COOLING, q_max=base.actuator.q_max)
-    model = base.plant
+    c = {kind: default_controller(kind, base.plant) for kind in CONTROLLERS}
     return [
-        ("ip_heat", replace(base, controller=IpController(), reference_mode="smooth", actuator=heat)),
-        ("ip_heat_cool", replace(base, controller=IpController(), reference_mode="smooth", actuator=cool)),
-        ("pi_step", replace(base, controller=PiController(), reference_mode="step", actuator=cool)),
-        ("pi_smooth", replace(base, controller=PiController(), reference_mode="smooth", actuator=cool)),
-        ("flat_p", replace(base, controller=FlatPController(pole=-0.01, model=model), reference_mode="smooth", actuator=cool)),
-        ("flat_pi_fast", replace(base, controller=FlatPiController(double_pole=-0.005, model=model), reference_mode="smooth", actuator=cool)),
-        ("flat_pi_slow", replace(base, controller=FlatPiController(double_pole=-0.001, model=model), reference_mode="smooth", actuator=cool)),
+        ("ip_heat", replace(base, controller=c["ip"], reference_mode="smooth", actuator=heat)),
+        ("ip_heat_cool", replace(base, controller=c["ip"], reference_mode="smooth", actuator=cool)),
+        ("pi_step", replace(base, controller=c["pi"], reference_mode="step", actuator=cool)),
+        ("pi_smooth", replace(base, controller=c["pi"], reference_mode="smooth", actuator=cool)),
+        ("flat_p", replace(base, controller=c["flat_p"], reference_mode="smooth", actuator=cool)),
+        ("flat_pi_fast", replace(base, controller=c["flat_pi"], reference_mode="smooth", actuator=cool)),
+        ("flat_pi_slow", replace(base, controller=replace(c["flat_pi"], double_pole=-0.001), reference_mode="smooth", actuator=cool)),
     ]
 
 
@@ -99,13 +95,7 @@ def write_comparison_txt(path: str, rows: list[tuple[str, Metrics]]) -> None:
 
 def _apply_overrides(sc: Scenario, args: argparse.Namespace) -> Scenario:
     if getattr(args, "controller", None):
-        controller = {
-            "ip": IpController(),
-            "pi": PiController(),
-            "flat_p": FlatPController(model=sc.plant),
-            "flat_pi": FlatPiController(model=sc.plant),
-        }[args.controller]
-        sc = replace(sc, controller=controller)
+        sc = replace(sc, controller=default_controller(args.controller, sc.plant))
     if getattr(args, "reference", None):
         sc = replace(sc, reference_mode=args.reference)
     if getattr(args, "actuator", None):
@@ -145,18 +135,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = _apply_overrides(load_scenario(args.config), args)
-    kinds = [args.controller] if getattr(args, "controller", None) else ["ip", "pi", "flat_p", "flat_pi"]
-    controllers = {
-        "ip": IpController(),
-        "pi": PiController(),
-        "flat_p": FlatPController(model=base.plant),
-        "flat_pi": FlatPiController(model=base.plant),
-    }
+    kinds = [args.controller] if getattr(args, "controller", None) else list(CONTROLLERS)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("controller,factor,rmse,energy,control_variation\n")
         for kind in kinds:
-            sc = replace(base, controller=controllers[kind])
+            sc = replace(base, controller=default_controller(kind, base.plant))
             for factor, metrics in sweep(sc, DEFAULT_SWEEP_FACTORS):
                 fh.write(",".join((
                     kind,
@@ -176,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="scenario config file (key = value lines)")
         p.add_argument("--out", required=True, help="output directory, created if missing")
         if overrides:
-            p.add_argument("--controller", choices=("ip", "pi", "flat_p", "flat_pi"))
+            p.add_argument("--controller", choices=CONTROLLERS)
             p.add_argument("--reference", choices=("step", "smooth", "ramp"))
             p.add_argument("--actuator", choices=("heat", "heat_cool"))
         p.add_argument("--seed", type=int)

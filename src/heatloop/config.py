@@ -20,21 +20,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
-from .controllers import HEATING_AND_COOLING, HEATING_ONLY, ActuatorMode
-from .engine import (
-    ConstantTExt,
-    FlatPController,
-    FlatPiController,
-    IpController,
-    PiController,
-    Scenario,
-    SinusoidTExt,
-    TableTExt,
-)
-from .plant import ThermalParams, ThermalState
-from .reference import REFERENCE_GENERATORS, Schedule
+from .controllers import CONTROLLERS, HEATING_AND_COOLING, HEATING_ONLY, default_controller
+from .engine import ConstantTExt, Scenario, SinusoidTExt, TableTExt
+from .reference import REFERENCE_GENERATORS
 
 
 class ConfigError(ValueError):
@@ -49,6 +39,8 @@ _ACTUATOR_ALIASES = {
     "heat_cool": HEATING_AND_COOLING,
     "heating_and_cooling": HEATING_AND_COOLING,
 }
+
+_T_EXT_KINDS = {cls.kind: cls for cls in (ConstantTExt, SinusoidTExt)}
 
 
 class _Entries:
@@ -107,6 +99,17 @@ class _Entries:
             raise ConfigError(f"unknown key(s): {names}")
 
 
+# parser and printer for each field value type the config walks
+_TAKE = {float: _Entries.take_float, int: _Entries.take_int, bool: _Entries.take_bool}
+
+
+def _show_float(value) -> str:
+    return repr(float(value))
+
+
+_SHOW = {float: _show_float, int: str, bool: lambda value: "true" if value else "false"}
+
+
 def _parse_lines(text: str) -> dict[str, str]:
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -124,16 +127,22 @@ def _parse_lines(text: str) -> dict[str, str]:
     return entries
 
 
-def _take_params(ent: _Entries, prefix: str, default: ThermalParams) -> ThermalParams:
+def _take_fields(ent: _Entries, prefix: str, base, **given):
+    """``base`` with each field replaced by its ``prefix.name`` entry.
+
+    The type of the field's value in ``base`` picks the parser: float,
+    int, bool, or a nested dataclass walked under ``prefix.name``.  Other
+    fields keep their value from ``given`` or ``base``.
+    """
+    changes = dict(given)
+    for f in fields(base):
+        key, default = f"{prefix}.{f.name}", getattr(base, f.name)
+        if is_dataclass(default):
+            changes[f.name] = _take_fields(ent, key, default)
+        elif type(default) in _TAKE:
+            changes[f.name] = _TAKE[type(default)](ent, key, default)
     try:
-        return ThermalParams(
-            c_a=ent.take_float(f"{prefix}.c_a", default.c_a),
-            c_w=ent.take_float(f"{prefix}.c_w", default.c_w),
-            k_c=ent.take_float(f"{prefix}.k_c", default.k_c),
-            k_f=ent.take_float(f"{prefix}.k_f", default.k_f),
-            k_ext=ent.take_float(f"{prefix}.k_ext", default.k_ext),
-            wall_denominator_cw=ent.take_bool(f"{prefix}.wall_denominator_cw", default.wall_denominator_cw),
-        )
+        return replace(base, **changes)
     except ValueError as exc:
         raise ConfigError(f"{prefix}: {exc}") from None
 
@@ -167,11 +176,11 @@ def _load_t_ext_table(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
     for row in rows:
         if not row or row.startswith("#"):
             continue
-        fields = [f.strip() for f in row.split(",")]
-        if len(fields) != 2:
+        cells = [c.strip() for c in row.split(",")]
+        if len(cells) != 2:
             raise ConfigError(f"t_ext.file {path!r}: expected 2 columns, got {row!r}")
         try:
-            t, temp = float(fields[0]), float(fields[1])
+            t, temp = float(cells[0]), float(cells[1])
         except ValueError:
             if not times:    # tolerate a single header row
                 continue
@@ -194,45 +203,17 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
     noise_std = ent.take_float("noise_std", base.noise_std)
     seed = ent.take_int("seed", base.rng_seed)
 
-    plant = _take_params(ent, "plant", base.plant)
-    initial = ThermalState(
-        t_int=ent.take_float("initial.t_int", base.initial.t_int),
-        t_wall=ent.take_float("initial.t_wall", base.initial.t_wall),
-    )
+    plant = _take_fields(ent, "plant", base.plant)
+    initial = _take_fields(ent, "initial", base.initial)
 
     raw_segments = ent.take("schedule.segments", None)
     segments = _parse_segments(raw_segments) if raw_segments is not None else base.schedule.segments
-    duration = ent.take_float("schedule.transition_duration", base.schedule.transition_duration)
-    try:
-        schedule = Schedule(segments=segments, transition_duration=duration)
-    except ValueError as exc:
-        raise ConfigError(f"schedule: {exc}") from None
+    schedule = _take_fields(ent, "schedule", base.schedule, segments=segments)
 
     mode = ent.take_choice("reference.mode", REFERENCE_GENERATORS, base.reference_mode)
 
-    kind = ent.take_choice("controller.kind", ("ip", "pi", "flat_p", "flat_pi"), "ip")
-    controller: object
-    if kind == "ip":
-        controller = IpController(
-            alpha=ent.take_float("controller.alpha", 0.5),
-            k_p=ent.take_float("controller.k_p", -0.5),
-            window_len=ent.take_int("controller.window_len", 5),
-        )
-    elif kind == "pi":
-        controller = PiController(
-            k_p=ent.take_float("controller.k_p", -0.5),
-            k_i=ent.take_float("controller.k_i", -0.01),
-        )
-    elif kind == "flat_p":
-        controller = FlatPController(
-            pole=ent.take_float("controller.pole", -0.01),
-            model=_take_params(ent, "controller.model", plant),
-        )
-    else:
-        controller = FlatPiController(
-            double_pole=ent.take_float("controller.double_pole", -0.005),
-            model=_take_params(ent, "controller.model", plant),
-        )
+    kind = ent.take_choice("controller.kind", CONTROLLERS, base.controller.kind)
+    controller = _take_fields(ent, "controller", default_controller(kind, plant))
 
     raw_act = ent.take("actuator.mode", None)
     if raw_act is None:
@@ -241,34 +222,24 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
         act_mode = _ACTUATOR_ALIASES[raw_act]
     else:
         raise ConfigError(f"key 'actuator.mode': expected one of {sorted(set(_ACTUATOR_ALIASES))}, got {raw_act!r}")
-    try:
-        actuator = ActuatorMode(mode=act_mode, q_max=ent.take_float("actuator.q_max", base.actuator.q_max))
-    except ValueError as exc:
-        raise ConfigError(f"actuator: {exc}") from None
+    actuator = _take_fields(ent, "actuator", base.actuator, mode=act_mode)
 
-    t_kind = ent.take_choice("t_ext.kind", ("constant", "sinusoid", "table"), "sinusoid")
-    t_ext: object
-    if t_kind == "constant":
-        t_ext = ConstantTExt(value=ent.take_float("t_ext.value", 5.0))
-    elif t_kind == "sinusoid":
-        d = SinusoidTExt()
-        t_ext = SinusoidTExt(
-            mean=ent.take_float("t_ext.mean", d.mean),
-            amplitude=ent.take_float("t_ext.amplitude", d.amplitude),
-            period=ent.take_float("t_ext.period", d.period),
-            phase=ent.take_float("t_ext.phase", d.phase),
-        )
-    else:
+    t_kind = ent.take_choice("t_ext.kind", (*_T_EXT_KINDS, TableTExt.kind), base.t_ext.kind)
+    if t_kind == TableTExt.kind:
         rel = ent.take("t_ext.file")
         path = rel if os.path.isabs(rel) else os.path.join(base_dir, rel)
         times, temps = _load_t_ext_table(path)
         t_ext = TableTExt(times=times, temps=temps, source=rel)
+    else:
+        t_ext = _take_fields(ent, "t_ext", _T_EXT_KINDS[t_kind]())
 
     ent.reject_leftovers()
 
     scenario = Scenario(
         horizon=horizon,
         dt=dt,
+        noise_std=noise_std,
+        rng_seed=seed,
         plant=plant,
         initial=initial,
         schedule=schedule,
@@ -276,8 +247,6 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
         controller=controller,
         actuator=actuator,
         t_ext=t_ext,
-        noise_std=noise_std,
-        rng_seed=seed,
     )
     try:
         scenario.validate()
@@ -298,80 +267,46 @@ def load_scenario(path: str) -> Scenario:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _params_lines(prefix: str, p: ThermalParams) -> list[str]:
-    return [
-        f"{prefix}.c_a = {_fmt(float(p.c_a))}",
-        f"{prefix}.c_w = {_fmt(float(p.c_w))}",
-        f"{prefix}.k_c = {_fmt(float(p.k_c))}",
-        f"{prefix}.k_f = {_fmt(float(p.k_f))}",
-        f"{prefix}.k_ext = {_fmt(float(p.k_ext))}",
-        f"{prefix}.wall_denominator_cw = {_fmt(p.wall_denominator_cw)}",
-    ]
+def _field_lines(prefix: str, obj, template) -> list[str]:
+    """``prefix.name = value`` lines for the fields of ``obj``, printed by
+    the type of the field's value in ``template`` like _take_fields."""
+    lines = []
+    for f in fields(template):
+        key, default, value = f"{prefix}.{f.name}", getattr(template, f.name), getattr(obj, f.name)
+        if is_dataclass(default):
+            lines += _field_lines(key, value, default)
+        elif type(default) in _SHOW:
+            lines.append(f"{key} = {_SHOW[type(default)](value)}")
+    return lines
 
 
 def serialize_scenario(sc: Scenario) -> str:
     """Canonical config text; parse_scenario() of the result reproduces
     the scenario exactly."""
+    base, c, t = Scenario(), sc.controller, sc.t_ext
+    segments = ", ".join(f"{_show_float(start)}:{_show_float(sp)}" for start, sp in sc.schedule.segments)
     lines = [
-        f"horizon = {_fmt(float(sc.horizon))}",
-        f"dt = {_fmt(float(sc.dt))}",
-        f"noise_std = {_fmt(float(sc.noise_std))}",
+        f"horizon = {_show_float(sc.horizon)}",
+        f"dt = {_show_float(sc.dt)}",
+        f"noise_std = {_show_float(sc.noise_std)}",
         f"seed = {sc.rng_seed}",
-    ]
-    lines += _params_lines("plant", sc.plant)
-    lines += [
-        f"initial.t_int = {_fmt(float(sc.initial.t_int))}",
-        f"initial.t_wall = {_fmt(float(sc.initial.t_wall))}",
-        "schedule.segments = " + ", ".join(f"{_fmt(float(t))}:{_fmt(float(sp))}" for t, sp in sc.schedule.segments),
-        f"schedule.transition_duration = {_fmt(float(sc.schedule.transition_duration))}",
+        *_field_lines("plant", sc.plant, base.plant),
+        *_field_lines("initial", sc.initial, base.initial),
+        f"schedule.segments = {segments}",
+        *_field_lines("schedule", sc.schedule, base.schedule),
         f"reference.mode = {sc.reference_mode}",
-        f"controller.kind = {sc.controller.kind}",
-    ]
-    c = sc.controller
-    if c.kind == "ip":
-        lines += [
-            f"controller.alpha = {_fmt(float(c.alpha))}",
-            f"controller.k_p = {_fmt(float(c.k_p))}",
-            f"controller.window_len = {c.window_len}",
-        ]
-    elif c.kind == "pi":
-        lines += [
-            f"controller.k_p = {_fmt(float(c.k_p))}",
-            f"controller.k_i = {_fmt(float(c.k_i))}",
-        ]
-    elif c.kind == "flat_p":
-        lines += [f"controller.pole = {_fmt(float(c.pole))}"]
-        lines += _params_lines("controller.model", c.model)
-    else:
-        lines += [f"controller.double_pole = {_fmt(float(c.double_pole))}"]
-        lines += _params_lines("controller.model", c.model)
-    lines += [
+        f"controller.kind = {c.kind}",
+        *_field_lines("controller", c, type(c)()),
         f"actuator.mode = {sc.actuator.mode}",
-        f"actuator.q_max = {_fmt(float(sc.actuator.q_max))}",
+        *_field_lines("actuator", sc.actuator, base.actuator),
+        f"t_ext.kind = {t.kind}",
     ]
-    t = sc.t_ext
-    if isinstance(t, ConstantTExt):
-        lines += ["t_ext.kind = constant", f"t_ext.value = {_fmt(float(t.value))}"]
-    elif isinstance(t, SinusoidTExt):
-        lines += [
-            "t_ext.kind = sinusoid",
-            f"t_ext.mean = {_fmt(float(t.mean))}",
-            f"t_ext.amplitude = {_fmt(float(t.amplitude))}",
-            f"t_ext.period = {_fmt(float(t.period))}",
-            f"t_ext.phase = {_fmt(float(t.phase))}",
-        ]
-    else:
+    if isinstance(t, TableTExt):
         if t.source is None:
             raise ConfigError("cannot serialize a table t_ext profile without a source file")
-        lines += ["t_ext.kind = table", f"t_ext.file = {t.source}"]
+        lines.append(f"t_ext.file = {t.source}")
+    else:
+        lines += _field_lines("t_ext", t, type(t)())
     return "\n".join(lines) + "\n"
 
 

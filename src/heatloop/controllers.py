@@ -1,26 +1,37 @@
-"""Control laws: intelligent-P (model-free), classic PI, and
-flatness-based feedforward with P or PI correction.
+"""Controller configurations and their two control laws.
+
+Four controller kinds share two laws.  ``ip`` is the model-free
+intelligent-P law (:func:`ip_control`).  The other three are one law,
+a feedforward plus a PI corrector (:func:`pi_control`): ``pi`` has no
+feedforward, while ``flat_p`` and ``flat_pi`` add the flatness
+feedforward of their plant model and place the corrector gains from a
+requested closed-loop pole (``flat_p`` with k_i = 0).
 
 All controllers share the error convention e = y - y_star, so the usual
 gains come out negative (too cold means e < 0 and the heat command must
-rise).  Controllers are pure functions; integrator and estimator state
-lives in the engine's per-run loop state.
+rise).  The laws are pure functions; integrator and estimator state
+lives in the engine's per-run loop state.  Each controller default is
+written once, in its dataclass below; :func:`default_controller` hands
+the same defaults to config parsing, the CLI and the sweep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Union
 
-from .plant import ThermalParams
+from .estimation import UltraLocalConfig
+from .plant import NOMINAL, ThermalParams
 
 HEATING_ONLY = "heating_only"
 HEATING_AND_COOLING = "heating_and_cooling"
 
 
 @dataclass(frozen=True)
-class IpGains:
-    """Ultra-local input gain alpha and proportional gain k_p (1/s).
+class IpController:
+    """Ultra-local input gain alpha, proportional gain k_p (1/s) and the
+    slope-fit window in samples.
 
     alpha is a loop-shaping knob, not a physical parameter: rescaling
     (alpha, u) to (c*alpha, u/c) leaves the applied physical heat
@@ -29,37 +40,80 @@ class IpGains:
 
     alpha: float = 0.5
     k_p: float = -0.5
+    window_len: int = 5
+
+    kind = "ip"
 
     def __post_init__(self) -> None:
         if self.alpha == 0.0 or not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be a finite nonzero number, got {self.alpha!r}")
+        UltraLocalConfig(window_len=self.window_len)    # the estimator owns the window check
 
 
 @dataclass(frozen=True)
-class PiGains:
+class PiController:
+    """q = k_p*e + k_i*integral(e); also the corrector of the flat kinds."""
+
     k_p: float = -0.5
     k_i: float = -0.01
 
+    kind = "pi"
+
 
 @dataclass(frozen=True)
-class FlatGains:
-    """Corrector gains for the flatness controller, normally derived from
-    a requested closed-loop pole via the placement helpers."""
+class FlatPController:
+    """Feedforward plus P corrector.  ``model`` is the parameter set the
+    controller believes in; it stays fixed when the true plant is
+    perturbed (see :func:`heatloop.engine.sweep`)."""
 
-    k_p: float
-    k_i: float = 0.0
-    pole: float | None = None
-    double_pole: float | None = None
+    pole: float = -0.01
+    model: ThermalParams = NOMINAL
+
+    kind = "flat_p"
+
+    def __post_init__(self) -> None:
+        self.corrector()    # the placement checks the pole
+
+    def corrector(self) -> PiController:
+        return PiController(k_p=place_flat_p_gain(self.pole, self.model), k_i=0.0)
 
 
-def ip_control(f_estim: float, y_star_dot: float, e: float, gains: IpGains) -> float:
+@dataclass(frozen=True)
+class FlatPiController:
+    """Feedforward plus PI corrector with a double closed-loop pole."""
+
+    double_pole: float = -0.005
+    model: ThermalParams = NOMINAL
+
+    kind = "flat_pi"
+
+    def __post_init__(self) -> None:
+        self.corrector()    # the placement checks the pole
+
+    def corrector(self) -> PiController:
+        k_p, k_i = place_flat_pi_gains(self.double_pole, self.model)
+        return PiController(k_p=k_p, k_i=k_i)
+
+
+ControllerConfig = Union[IpController, PiController, FlatPController, FlatPiController]
+
+CONTROLLERS = {cls.kind: cls for cls in (IpController, PiController, FlatPController, FlatPiController)}
+
+
+def default_controller(kind: str, plant: ThermalParams) -> ControllerConfig:
+    """The default controller of ``kind``; a flat controller models ``plant``."""
+    cls = CONTROLLERS[kind]
+    return cls(model=plant) if "model" in cls.__dataclass_fields__ else cls()
+
+
+def ip_control(f_estim: float, y_star_dot: float, e: float, cfg: IpController) -> float:
     """u = -(F_estim - y_star_dot - k_p*e) / alpha."""
-    return -(f_estim - y_star_dot - gains.k_p * e) / gains.alpha
+    return -(f_estim - y_star_dot - cfg.k_p * e) / cfg.alpha
 
 
-def pi_control(e: float, e_integral: float, gains: PiGains) -> float:
+def pi_control(e: float, e_integral: float, cfg: PiController) -> float:
     """q = k_p*e + k_i*integral(e)."""
-    return gains.k_p * e + gains.k_i * e_integral
+    return cfg.k_p * e + cfg.k_i * e_integral
 
 
 def flat_feedforward(y_star: float, y_star_dot: float, params: ThermalParams) -> float:
@@ -96,15 +150,6 @@ def place_flat_pi_gains(double_pole: float, params: ThermalParams) -> tuple[floa
     k_p = (params.k_c + params.k_f) + 2.0 * double_pole * params.c_a
     k_i = -params.c_a * double_pole * double_pole
     return k_p, k_i
-
-
-def flat_gains_p(pole: float, params: ThermalParams) -> FlatGains:
-    return FlatGains(k_p=place_flat_p_gain(pole, params), k_i=0.0, pole=pole)
-
-
-def flat_gains_pi(double_pole: float, params: ThermalParams) -> FlatGains:
-    k_p, k_i = place_flat_pi_gains(double_pole, params)
-    return FlatGains(k_p=k_p, k_i=k_i, double_pole=double_pole)
 
 
 @dataclass(frozen=True)

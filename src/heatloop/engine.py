@@ -15,22 +15,19 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 import numpy as np
 
 from .controllers import (
-    HEATING_AND_COOLING,
-    HEATING_ONLY,
+    CONTROLLERS,
     ActuatorMode,
-    FlatGains,
-    IpGains,
-    PiGains,
+    ControllerConfig,
+    IpController,
+    PiController,
     clamp,
     flat_feedforward,
-    flat_gains_p,
-    flat_gains_pi,
     ip_control,
     pi_control,
 )
@@ -52,6 +49,8 @@ class SimulationError(RuntimeError):
 class ConstantTExt:
     value: float = 5.0
 
+    kind = "constant"
+
     def at(self, t: float) -> float:
         return self.value
 
@@ -64,6 +63,8 @@ class SinusoidTExt:
     amplitude: float = 5.0
     period: float = 86400.0
     phase: float = -math.pi
+
+    kind = "sinusoid"
 
     def at(self, t: float) -> float:
         return self.mean + self.amplitude * math.sin(2.0 * math.pi * t / self.period + self.phase)
@@ -78,6 +79,8 @@ class TableTExt:
     times: tuple[float, ...]
     temps: tuple[float, ...]
     source: str | None = None
+
+    kind = "table"
 
     def __post_init__(self) -> None:
         if len(self.times) != len(self.temps) or len(self.times) < 2:
@@ -98,52 +101,6 @@ class TableTExt:
 
 
 TExtProfile = Union[ConstantTExt, SinusoidTExt, TableTExt]
-
-
-# ---------------------------------------------------------------------------
-# controller configurations (the serializable part of a scenario)
-
-
-@dataclass(frozen=True)
-class IpController:
-    alpha: float = 0.5
-    k_p: float = -0.5
-    window_len: int = 5
-
-    kind = "ip"
-
-
-@dataclass(frozen=True)
-class PiController:
-    k_p: float = -0.5
-    k_i: float = -0.01
-
-    kind = "pi"
-
-
-@dataclass(frozen=True)
-class FlatPController:
-    """Feedforward plus P corrector.  ``model`` is the parameter set the
-    controller believes in; it stays fixed when the true plant is
-    perturbed (see :func:`sweep`)."""
-
-    pole: float = -0.01
-    model: ThermalParams = NOMINAL
-
-    kind = "flat_p"
-
-
-@dataclass(frozen=True)
-class FlatPiController:
-    double_pole: float = -0.005
-    model: ThermalParams = NOMINAL
-
-    kind = "flat_pi"
-
-
-ControllerConfig = Union[IpController, PiController, FlatPController, FlatPiController]
-
-CONTROLLER_KINDS = ("ip", "pi", "flat_p", "flat_pi")
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +134,8 @@ class Scenario:
 
     horizon: float = 172800.0
     dt: float = 60.0
+    noise_std: float = 0.05
+    rng_seed: int = 63
     plant: ThermalParams = NOMINAL
     initial: ThermalState = DEFAULT_INITIAL
     schedule: Schedule = DEFAULT_SCHEDULE
@@ -184,8 +143,6 @@ class Scenario:
     controller: ControllerConfig = IpController()
     actuator: ActuatorMode = ActuatorMode()
     t_ext: TExtProfile = DEFAULT_T_EXT
-    noise_std: float = 0.05
-    rng_seed: int = 63
 
     @property
     def num_ticks(self) -> int:
@@ -207,7 +164,7 @@ class Scenario:
             raise ValueError("schedule must start at or before t = 0")
         if not (math.isfinite(self.initial.t_int) and math.isfinite(self.initial.t_wall)):
             raise ValueError("initial state must be finite")
-        if getattr(self.controller, "kind", None) not in CONTROLLER_KINDS:
+        if getattr(self.controller, "kind", None) not in CONTROLLERS:
             raise ValueError(f"unknown controller {self.controller!r}")
         if not isinstance(self.rng_seed, int):
             raise ValueError(f"rng_seed must be an integer, got {self.rng_seed!r}")
@@ -219,37 +176,44 @@ def default_scenario(**replacements) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# per-run loop state (one small class per controller kind)
+# per-run loop state (one small class per control law)
 
 
 class _IpLoop:
     def __init__(self, cfg: IpController, dt: float):
-        self.gains = IpGains(alpha=cfg.alpha, k_p=cfg.k_p)
-        self.est = EstimatorState(UltraLocalConfig(alpha=cfg.alpha, window_len=cfg.window_len, sample_time=dt))
+        self.cfg = cfg
+        self.est = EstimatorState(UltraLocalConfig(window_len=cfg.window_len, sample_time=dt))
 
     def command(self, t, y_meas, y_star, y_star_dot, dt):
         self.est.push(t, y_meas)
         if self.est.is_full:
-            f_estim = estimate_F(estimate_derivative(self.est), self.est.u_prev, self.gains.alpha)
+            f_estim = estimate_F(estimate_derivative(self.est), self.est.u_prev, self.cfg.alpha)
         else:
             f_estim = 0.0   # warm-up: no slope yet
         e = y_meas - y_star
-        return ip_control(f_estim, y_star_dot, e, self.gains), f_estim
+        return ip_control(f_estim, y_star_dot, e, self.cfg), f_estim
 
     def applied(self, q_applied: float, clamped: bool) -> None:
         self.est.u_prev = q_applied
 
 
-class _PiLoop:
-    def __init__(self, cfg: PiController):
-        self.gains = PiGains(k_p=cfg.k_p, k_i=cfg.k_i)
+class _FeedforwardPiLoop:
+    """Flatness feedforward from ``model`` plus a PI corrector.  Plain PI
+    runs it without a model, flat+P with k_i = 0."""
+
+    def __init__(self, gains: PiController, model: ThermalParams | None):
+        self.gains = gains
+        self.model = model
         self.e_integral = 0.0
         self._candidate = 0.0
 
     def command(self, t, y_meas, y_star, y_star_dot, dt):
         e = y_meas - y_star
         self._candidate = self.e_integral + e * dt    # rectangle rule
-        return pi_control(e, self._candidate, self.gains), None
+        # -0.0 + x == x for every x, sign of zero included, so without a
+        # model the command is exactly the PI output
+        q_ff = -0.0 if self.model is None else flat_feedforward(y_star, y_star_dot, self.model)
+        return q_ff + pi_control(e, self._candidate, self.gains), None
 
     def applied(self, q_applied: float, clamped: bool) -> None:
         # conditional integration: the integral freezes while the clamp
@@ -258,48 +222,13 @@ class _PiLoop:
             self.e_integral = self._candidate
 
 
-class _FlatPLoop:
-    def __init__(self, cfg: FlatPController):
-        self.gains = flat_gains_p(cfg.pole, cfg.model)
-        self.model = cfg.model
-
-    def command(self, t, y_meas, y_star, y_star_dot, dt):
-        e = y_meas - y_star
-        return flat_feedforward(y_star, y_star_dot, self.model) + self.gains.k_p * e, None
-
-    def applied(self, q_applied: float, clamped: bool) -> None:
-        pass
-
-
-class _FlatPiLoop:
-    def __init__(self, cfg: FlatPiController):
-        self.gains = flat_gains_pi(cfg.double_pole, cfg.model)
-        self.model = cfg.model
-        self.e_integral = 0.0
-        self._candidate = 0.0
-
-    def command(self, t, y_meas, y_star, y_star_dot, dt):
-        e = y_meas - y_star
-        self._candidate = self.e_integral + e * dt
-        q_corr = self.gains.k_p * e + self.gains.k_i * self._candidate
-        return flat_feedforward(y_star, y_star_dot, self.model) + q_corr, None
-
-    def applied(self, q_applied: float, clamped: bool) -> None:
-        if not clamped:
-            self.e_integral = self._candidate
-
-
 def _build_loop(sc: Scenario):
     cfg = sc.controller
-    if cfg.kind == "ip":
+    if isinstance(cfg, IpController):
         return _IpLoop(cfg, sc.dt)
-    if cfg.kind == "pi":
-        return _PiLoop(cfg)
-    if cfg.kind == "flat_p":
-        return _FlatPLoop(cfg)
-    if cfg.kind == "flat_pi":
-        return _FlatPiLoop(cfg)
-    raise ValueError(f"unknown controller {cfg!r}")
+    if isinstance(cfg, PiController):
+        return _FeedforwardPiLoop(cfg, None)
+    return _FeedforwardPiLoop(cfg.corrector(), cfg.model)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +250,6 @@ class SimRecord:
     q_command: float
     q_applied: float
     f_estim: float | None
-
-
-TimeSeries = list
 
 
 def run(scenario: Scenario, noise_source: Callable[[int], float] | None = None) -> list[SimRecord]:

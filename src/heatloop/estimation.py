@@ -21,17 +21,15 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class UltraLocalConfig:
-    """alpha is the input gain of the ultra-local model; window_len is the
-    number of samples in the slope fit (2 degenerates to a backward
-    difference); sample_time is the spacing of the sample grid."""
+    """window_len is the number of samples in the slope fit (2
+    degenerates to a backward difference); sample_time is the spacing of
+    the sample grid.  The input gain alpha belongs to the controller
+    (:class:`heatloop.controllers.IpController`)."""
 
-    alpha: float = 0.5
     window_len: int = 5
     sample_time: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.alpha == 0.0 or not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be a finite nonzero number, got {self.alpha!r}")
         if self.window_len < 2:
             raise ValueError(f"window_len must be at least 2, got {self.window_len!r}")
         if not (math.isfinite(self.sample_time) and self.sample_time > 0.0):

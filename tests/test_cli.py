@@ -4,11 +4,13 @@ Everything goes through main(argv) so the tests cover argument parsing,
 config loading, the run itself and the on-disk output formats.
 """
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+import heatloop
 from heatloop import compute_metrics, default_scenario, run, save_scenario
 from heatloop.cli import CSV_HEADER, comparison_scenarios, main
 
@@ -126,6 +128,20 @@ def test_run_on_equilibrium_scenario_is_quiet(tmp_path):
     assert metrics["energy"] == 0.0
 
 
+@pytest.mark.parametrize("kind", ["ip", "pi", "flat_p", "flat_pi"])
+def test_controller_flag_matches_config_kind(tmp_path, kind):
+    # the --controller flag and a controller.kind line take the same
+    # defaults, the flat model included
+    plant = "plant.c_a = 700.0\n"
+    flag_cfg, kind_cfg = tmp_path / "flag.cfg", tmp_path / "kind.cfg"
+    flag_cfg.write_text(plant, encoding="utf-8")
+    kind_cfg.write_text(plant + f"controller.kind = {kind}\n", encoding="utf-8")
+    out_flag, out_kind = tmp_path / "flag", tmp_path / "kind"
+    assert main(["run", "--config", str(flag_cfg), "--out", str(out_flag), "--controller", kind]) == 0
+    assert main(["run", "--config", str(kind_cfg), "--out", str(out_kind)]) == 0
+    assert (out_flag / "timeseries.csv").read_bytes() == (out_kind / "timeseries.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -221,12 +237,23 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "absent.cfg" in err
 
 
-def test_bad_config_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("controller.kind = lqr\n", "controller.kind"),
+        ("controller.kind = flat_p\ncontroller.pole = 0.01\n", "pole"),
+        ("controller.kind = flat_pi\ncontroller.double_pole = 0.0\n", "double_pole"),
+        ("controller.window_len = 1\n", "window_len"),
+        ("controller.alpha = 0\n", "alpha"),
+    ],
+)
+def test_bad_config_exits_2(tmp_path, capsys, text, key):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("controller.kind = lqr\n", encoding="utf-8")
+    cfg.write_text(text, encoding="utf-8")
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
-    assert "controller.kind" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_diverging_run_exits_3(tmp_path, capsys):
@@ -240,9 +267,12 @@ def test_diverging_run_exits_3(tmp_path, capsys):
 
 
 def test_module_entry_point_help():
+    # the child imports the same heatloop as this test, installed or not
+    src = os.path.dirname(os.path.dirname(heatloop.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "heatloop.cli", "--help"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == 0
     assert "run" in proc.stdout and "compare" in proc.stdout and "sweep" in proc.stdout

@@ -111,6 +111,111 @@ def test_roundtrip_nondefault_plant_schedule_actuator():
     assert roundtrip(sc) == sc
 
 
+# ---------------------------------------------------------------------------
+# golden file text: the key order and the number formats are the format
+
+
+_HEAD = """\
+horizon = 172800.0
+dt = 60.0
+noise_std = 0.05
+seed = 63
+plant.c_a = {c_a}
+plant.c_w = 2200.0
+plant.k_c = 1.4
+plant.k_f = 0.004
+plant.k_ext = 0.04
+plant.wall_denominator_cw = {wall_cw}
+initial.t_int = 16.0
+initial.t_wall = 15.527343749999998
+schedule.segments = 0.0:16.0, 25200.0:19.0, 79200.0:16.0, 111600.0:19.0, 165600.0:16.0
+schedule.transition_duration = 3600.0
+reference.mode = smooth
+"""
+
+_IP_DEFAULT = """\
+controller.kind = ip
+controller.alpha = 0.5
+controller.k_p = -0.5
+controller.window_len = 5
+"""
+
+_ACTUATOR = """\
+actuator.mode = heating_and_cooling
+actuator.q_max = 2000.0
+"""
+
+_SINUSOID = """\
+t_ext.kind = sinusoid
+t_ext.mean = 5.0
+t_ext.amplitude = 5.0
+t_ext.period = 86400.0
+t_ext.phase = -3.141592653589793
+"""
+
+_NOMINAL_HEAD = _HEAD.format(c_a="1400.0", wall_cw="false")
+
+_LIGHT_PLANT = ThermalParams(c_a=700.0, wall_denominator_cw=True)
+
+
+@pytest.mark.parametrize(
+    "sc, text",
+    [
+        (default_scenario(), _NOMINAL_HEAD + _IP_DEFAULT + _ACTUATOR + _SINUSOID),
+        (
+            default_scenario(controller=IpController(alpha=0.002, k_p=-1.25, window_len=9)),
+            _NOMINAL_HEAD
+            + "controller.kind = ip\ncontroller.alpha = 0.002\ncontroller.k_p = -1.25\ncontroller.window_len = 9\n"
+            + _ACTUATOR + _SINUSOID,
+        ),
+        (
+            default_scenario(controller=PiController(k_p=-0.75, k_i=-0.002)),
+            _NOMINAL_HEAD
+            + "controller.kind = pi\ncontroller.k_p = -0.75\ncontroller.k_i = -0.002\n"
+            + _ACTUATOR + _SINUSOID,
+        ),
+        (
+            default_scenario(controller=FlatPController(
+                pole=-0.02, model=ThermalParams(c_a=700.0, c_w=1100.0, k_c=0.7, k_f=0.002, k_ext=0.02))),
+            _NOMINAL_HEAD
+            + """\
+controller.kind = flat_p
+controller.pole = -0.02
+controller.model.c_a = 700.0
+controller.model.c_w = 1100.0
+controller.model.k_c = 0.7
+controller.model.k_f = 0.002
+controller.model.k_ext = 0.02
+controller.model.wall_denominator_cw = false
+"""
+            + _ACTUATOR + _SINUSOID,
+        ),
+        (
+            default_scenario(plant=_LIGHT_PLANT, controller=FlatPiController(double_pole=-0.001, model=_LIGHT_PLANT)),
+            _HEAD.format(c_a="700.0", wall_cw="true")
+            + """\
+controller.kind = flat_pi
+controller.double_pole = -0.001
+controller.model.c_a = 700.0
+controller.model.c_w = 2200.0
+controller.model.k_c = 1.4
+controller.model.k_f = 0.004
+controller.model.k_ext = 0.04
+controller.model.wall_denominator_cw = true
+"""
+            + _ACTUATOR + _SINUSOID,
+        ),
+        (
+            default_scenario(t_ext=ConstantTExt(-3.0)),
+            _NOMINAL_HEAD + _IP_DEFAULT + _ACTUATOR + "t_ext.kind = constant\nt_ext.value = -3.0\n",
+        ),
+    ],
+    ids=["default", "ip", "pi", "flat_p", "flat_pi", "constant_t_ext"],
+)
+def test_serialize_golden_text(sc, text):
+    assert serialize_scenario(sc) == text
+
+
 def test_table_t_ext_roundtrip_through_files(tmp_path):
     table = tmp_path / "weather.csv"
     table.write_text("time,temp\n0, 2.0\n3600, 6.0\n7200, 4.0\n", encoding="utf-8")

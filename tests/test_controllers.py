@@ -11,14 +11,12 @@ from heatloop import (
     HEATING_ONLY,
     NOMINAL,
     ActuatorMode,
-    IpGains,
-    PiGains,
+    IpController,
+    PiController,
     ThermalState,
     clamp,
     derivatives,
     flat_feedforward,
-    flat_gains_p,
-    flat_gains_pi,
     ip_control,
     pi_control,
     place_flat_p_gain,
@@ -33,23 +31,23 @@ from heatloop.estimation import estimate_F
 
 def test_ip_gains_validation():
     with pytest.raises(ValueError, match="alpha"):
-        IpGains(alpha=0.0)
-    assert IpGains() == IpGains(alpha=0.5, k_p=-0.5)
+        IpController(alpha=0.0)
+    assert IpController() == IpController(alpha=0.5, k_p=-0.5)
 
 
 def test_ip_control_perfect_tracking():
     # model term cancelled and zero error: no correction needed
-    assert ip_control(1.0e-3, 1.0e-3, 0.0, IpGains()) == approx(0.0, abs=1e-15)
+    assert ip_control(1.0e-3, 1.0e-3, 0.0, IpController()) == approx(0.0, abs=1e-15)
 
 
 def test_ip_control_substitution():
     # u = -(1 - 0 - (-0.5)*2) / 0.5 = -(1 + 1)/0.5 = -4
-    assert ip_control(1.0, 0.0, 2.0, IpGains(alpha=0.5, k_p=-0.5)) == approx(-4.0, rel=1e-12)
+    assert ip_control(1.0, 0.0, 2.0, IpController(alpha=0.5, k_p=-0.5)) == approx(-4.0, rel=1e-12)
 
 
 def test_ip_control_inverse_in_alpha():
-    u1 = ip_control(0.3, 0.0, -1.2, IpGains(alpha=0.5, k_p=-0.5))
-    u2 = ip_control(0.3, 0.0, -1.2, IpGains(alpha=1.0, k_p=-0.5))
+    u1 = ip_control(0.3, 0.0, -1.2, IpController(alpha=0.5, k_p=-0.5))
+    u2 = ip_control(0.3, 0.0, -1.2, IpController(alpha=1.0, k_p=-0.5))
     assert u1 == approx(2.0 * u2, rel=1e-12)
 
 
@@ -64,9 +62,9 @@ def test_ip_alpha_rescaling_is_a_gauge_freedom():
         y_dot = rng.uniform(-2e-3, 2e-3)
         c = rng.choice([0.1, 2.0, 40.0])
         alpha = 0.5
-        u_a = ip_control(estimate_F(dy, u_prev, alpha), y_dot, e, IpGains(alpha=alpha, k_p=-0.5))
+        u_a = ip_control(estimate_F(dy, u_prev, alpha), y_dot, e, IpController(alpha=alpha, k_p=-0.5))
         u_b = ip_control(
-            estimate_F(dy, u_prev / c, c * alpha), y_dot, e, IpGains(alpha=c * alpha, k_p=-0.5)
+            estimate_F(dy, u_prev / c, c * alpha), y_dot, e, IpController(alpha=c * alpha, k_p=-0.5)
         )
         assert c * u_b == approx(u_a, rel=1e-9, abs=1e-9)
 
@@ -79,7 +77,7 @@ def test_ip_exact_cancellation_imposes_error_dynamics():
     # stays a small correction over t <= 3/|k_p|.
     k_p = -1e-4
     alpha = 1.0 / NOMINAL.c_a
-    gains = IpGains(alpha=alpha, k_p=k_p)
+    gains = IpController(alpha=alpha, k_p=k_p)
     y_star, te, dt = 19.0, 5.0, 60.0
     # the wall starts at its own equilibrium so that the fast wall
     # transient does not pollute the slow commanded error dynamics
@@ -97,15 +95,15 @@ def test_ip_exact_cancellation_imposes_error_dynamics():
 
 
 def test_pi_control_examples():
-    assert pi_control(0.0, 0.0, PiGains()) == 0.0
+    assert pi_control(0.0, 0.0, PiController()) == 0.0
     # -0.5*2 + -0.01*10 = -1.1
-    assert pi_control(2.0, 10.0, PiGains(k_p=-0.5, k_i=-0.01)) == approx(-1.1, rel=1e-12)
+    assert pi_control(2.0, 10.0, PiController(k_p=-0.5, k_i=-0.01)) == approx(-1.1, rel=1e-12)
     # too cold (e < 0) must heat
-    assert pi_control(-1.0, -30.0, PiGains()) > 0.0
+    assert pi_control(-1.0, -30.0, PiController()) > 0.0
 
 
 def test_pi_control_linear():
-    g = PiGains(k_p=-0.5, k_i=-0.01)
+    g = PiController(k_p=-0.5, k_i=-0.01)
     assert pi_control(1.0, 2.0, g) + pi_control(0.3, -1.0, g) == approx(
         pi_control(1.3, 1.0, g), rel=1e-12
     )
@@ -209,13 +207,6 @@ def test_flat_pi_double_pole_error_envelope():
         e += dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         de += dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
         t += dt
-
-
-def test_flat_gains_wrappers():
-    g = flat_gains_p(-0.01, NOMINAL)
-    assert (g.k_p, g.k_i, g.pole) == (approx(-12.596), 0.0, -0.01)
-    g = flat_gains_pi(-0.005, NOMINAL)
-    assert (g.k_p, g.k_i, g.double_pole) == (approx(-12.596), approx(-0.035), -0.005)
 
 
 def test_actuator_validation():

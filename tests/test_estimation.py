@@ -6,11 +6,11 @@ import statistics
 import pytest
 from pytest import approx
 
-from heatloop import EstimatorState, UltraLocalConfig, estimate_F, estimate_derivative
+from heatloop import EstimatorState, IpController, UltraLocalConfig, estimate_F, estimate_derivative
 
 
 def _filled(values, sample_time=1.0, window_len=None):
-    cfg = UltraLocalConfig(alpha=0.5, window_len=window_len or len(values), sample_time=sample_time)
+    cfg = UltraLocalConfig(window_len=window_len or len(values), sample_time=sample_time)
     est = EstimatorState(cfg)
     for i, y in enumerate(values):
         est.push(i * sample_time, y)
@@ -19,9 +19,9 @@ def _filled(values, sample_time=1.0, window_len=None):
 
 def test_config_validation():
     with pytest.raises(ValueError, match="alpha"):
-        UltraLocalConfig(alpha=0.0)
+        IpController(alpha=0.0)
     with pytest.raises(ValueError, match="alpha"):
-        UltraLocalConfig(alpha=float("inf"))
+        IpController(alpha=float("inf"))
     with pytest.raises(ValueError, match="window_len"):
         UltraLocalConfig(window_len=1)
     with pytest.raises(ValueError, match="sample_time"):
