@@ -18,10 +18,10 @@ the same defaults to config parsing, the CLI and the sweep.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
-from .estimation import UltraLocalConfig
 from .plant import NOMINAL, ThermalParams
 
 HEATING_ONLY = "heating_only"
@@ -47,7 +47,8 @@ class IpController:
     def __post_init__(self) -> None:
         if self.alpha == 0.0 or not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be a finite nonzero number, got {self.alpha!r}")
-        UltraLocalConfig(window_len=self.window_len)    # the estimator owns the window check
+        if not 2 <= self.window_len <= sys.maxsize:
+            raise ValueError(f"window_len must be between 2 and {sys.maxsize}, got {self.window_len!r}")
 
 
 @dataclass(frozen=True)

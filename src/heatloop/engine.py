@@ -31,7 +31,7 @@ from .controllers import (
     ip_control,
     pi_control,
 )
-from .estimation import EstimatorState, UltraLocalConfig, estimate_derivative, estimate_F
+from .estimation import SlopeEstimator, estimate_F
 from .noise import gaussian
 from .plant import NOMINAL, ThermalParams, ThermalState, step_rk4, wall_equilibrium
 from .reference import REFERENCE_GENERATORS, Schedule
@@ -65,6 +65,10 @@ class SinusoidTExt:
     phase: float = -math.pi
 
     kind = "sinusoid"
+
+    def __post_init__(self) -> None:
+        if self.period == 0.0:
+            raise ValueError("period must be nonzero")
 
     def at(self, t: float) -> float:
         return self.mean + self.amplitude * math.sin(2.0 * math.pi * t / self.period + self.phase)
@@ -153,6 +157,8 @@ class Scenario:
             raise ValueError(f"horizon must be positive, got {self.horizon!r}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive, got {self.dt!r}")
+        if not math.isfinite(self.horizon / self.dt):
+            raise ValueError(f"horizon={self.horizon!r} / dt={self.dt!r} overflows the tick count")
         n = self.num_ticks
         if n < 1 or abs(n * self.dt - self.horizon) > 1e-6 * self.dt:
             raise ValueError(f"dt={self.dt!r} does not divide horizon={self.horizon!r}")
@@ -182,19 +188,19 @@ def default_scenario(**replacements) -> Scenario:
 class _IpLoop:
     def __init__(self, cfg: IpController, dt: float):
         self.cfg = cfg
-        self.est = EstimatorState(UltraLocalConfig(window_len=cfg.window_len, sample_time=dt))
+        self.est = SlopeEstimator(cfg.window_len, dt)
+        self.u_prev = 0.0
 
-    def command(self, t, y_meas, y_star, y_star_dot, dt):
-        self.est.push(t, y_meas)
-        if self.est.is_full:
-            f_estim = estimate_F(estimate_derivative(self.est), self.est.u_prev, self.cfg.alpha)
-        else:
-            f_estim = 0.0   # warm-up: no slope yet
+    def command(self, y_meas, y_star, y_star_dot, dt):
+        self.est.push(y_meas)
+        dy_hat = self.est.slope
+        # warm-up: no slope yet
+        f_estim = 0.0 if dy_hat is None else estimate_F(dy_hat, self.u_prev, self.cfg.alpha)
         e = y_meas - y_star
         return ip_control(f_estim, y_star_dot, e, self.cfg), f_estim
 
     def applied(self, q_applied: float, clamped: bool) -> None:
-        self.est.u_prev = q_applied
+        self.u_prev = q_applied
 
 
 class _FeedforwardPiLoop:
@@ -207,7 +213,7 @@ class _FeedforwardPiLoop:
         self.e_integral = 0.0
         self._candidate = 0.0
 
-    def command(self, t, y_meas, y_star, y_star_dot, dt):
+    def command(self, y_meas, y_star, y_star_dot, dt):
         e = y_meas - y_star
         self._candidate = self.e_integral + e * dt    # rectangle rule
         # -0.0 + x == x for every x, sign of zero included, so without a
@@ -276,7 +282,7 @@ def run(scenario: Scenario, noise_source: Callable[[int], float] | None = None) 
         y_true = state.t_int
         y_meas = y_true + noise_source(k)
         y_star, y_star_dot = ref(sc.schedule, t)
-        q_command, f_estim = loop.command(t, y_meas, y_star, y_star_dot, sc.dt)
+        q_command, f_estim = loop.command(y_meas, y_star, y_star_dot, sc.dt)
         q_applied = clamp(q_command, sc.actuator)
         loop.applied(q_applied, q_applied != q_command)
         if not (math.isfinite(y_meas) and math.isfinite(q_command)):

@@ -14,31 +14,30 @@ from dataclasses import replace
 
 import pytest
 
-from heatloop import (
-    ConstantTExt,
+from heatloop.cli import CSV_HEADER, write_timeseries_csv
+from heatloop.config import parse_scenario, serialize_scenario
+from heatloop.controllers import (
+    HEATING_AND_COOLING,
+    HEATING_ONLY,
+    ActuatorMode,
     FlatPController,
     FlatPiController,
     IpController,
-    NOMINAL,
     PiController,
-    Scenario,
-    SinusoidTExt,
-    ThermalParams,
-    ThermalState,
-    compute_metrics,
-    default_scenario,
-    exact_step,
-    parse_scenario,
     place_flat_p_gain,
     place_flat_pi_gains,
+)
+from heatloop.engine import (
+    ConstantTExt,
+    Scenario,
+    SinusoidTExt,
+    compute_metrics,
+    default_scenario,
     run,
-    serialize_scenario,
-    step_rk4,
     sweep,
     transition_spans,
 )
-from heatloop.cli import CSV_HEADER, write_timeseries_csv
-from heatloop.controllers import HEATING_AND_COOLING, HEATING_ONLY, ActuatorMode
+from heatloop.plant import NOMINAL, ThermalParams, ThermalState, exact_step, step_rk4
 from heatloop.reference import Schedule
 
 

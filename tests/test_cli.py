@@ -11,7 +11,8 @@ import sys
 import pytest
 
 import heatloop
-from heatloop import compute_metrics, default_scenario, run, save_scenario
+from heatloop.config import save_scenario
+from heatloop.engine import compute_metrics, default_scenario, run
 from heatloop.cli import CSV_HEADER, comparison_scenarios, main
 
 
@@ -245,6 +246,7 @@ def test_missing_config_exits_2(tmp_path, capsys):
         ("controller.kind = flat_pi\ncontroller.double_pole = 0.0\n", "double_pole"),
         ("controller.window_len = 1\n", "window_len"),
         ("controller.alpha = 0\n", "alpha"),
+        ("controller.window_len = 1000000000000000000000000000000\n", "window_len"),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, text, key):
@@ -266,13 +268,37 @@ def test_diverging_run_exits_3(tmp_path, capsys):
     assert "tick" in err
 
 
-def test_module_entry_point_help():
+def _run_cli_process(*args):
     # the child imports the same heatloop as this test, installed or not
     src = os.path.dirname(os.path.dirname(heatloop.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "heatloop.cli", "--help"],
+    return subprocess.run(
+        [sys.executable, "-m", "heatloop.cli", *args],
         capture_output=True, text=True, timeout=60, env=env,
     )
+
+
+@pytest.mark.parametrize(
+    "text, code, named",
+    [
+        ("dt = 1e-300\nhorizon = 1e-299\n", 0, None),
+        ("dt = 1e-310\nhorizon = 1e-309\n", 3, "tick"),
+        ("t_ext.kind = sinusoid\nt_ext.period = 0.0\n", 2, "t_ext"),
+        ("horizon = 1e308\ndt = 1e-10\n", 2, "horizon"),
+    ],
+    ids=["tiny_dt", "subnormal_dt", "zero_period", "tick_count_overflow"],
+)
+def test_extreme_inputs_exit_cleanly(tmp_path, text, code, named):
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    proc = _run_cli_process("run", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code
+    if named:
+        assert named in proc.stderr
+
+
+def test_module_entry_point_help():
+    proc = _run_cli_process("--help")
     assert proc.returncode == 0
     assert "run" in proc.stdout and "compare" in proc.stdout and "sweep" in proc.stdout

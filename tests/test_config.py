@@ -9,25 +9,18 @@ import math
 
 import pytest
 
-from heatloop import (
-    ConfigError,
-    ConstantTExt,
+from heatloop.config import ConfigError, load_scenario, parse_scenario, save_scenario, serialize_scenario
+from heatloop.controllers import (
+    HEATING_AND_COOLING,
+    HEATING_ONLY,
+    ActuatorMode,
     FlatPController,
     FlatPiController,
     IpController,
     PiController,
-    Scenario,
-    SinusoidTExt,
-    TableTExt,
-    ThermalParams,
-    default_scenario,
-    load_scenario,
-    parse_scenario,
-    save_scenario,
-    serialize_scenario,
 )
-from heatloop.controllers import HEATING_AND_COOLING, HEATING_ONLY, ActuatorMode
-from heatloop.plant import ThermalState
+from heatloop.engine import ConstantTExt, Scenario, SinusoidTExt, TableTExt, default_scenario
+from heatloop.plant import ThermalParams, ThermalState
 from heatloop.reference import Schedule
 
 

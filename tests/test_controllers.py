@@ -6,27 +6,22 @@ import random
 import pytest
 from pytest import approx
 
-from heatloop import (
+from heatloop.controllers import (
     HEATING_AND_COOLING,
     HEATING_ONLY,
-    NOMINAL,
     ActuatorMode,
     IpController,
     PiController,
-    ThermalState,
     clamp,
-    derivatives,
     flat_feedforward,
     ip_control,
     pi_control,
     place_flat_p_gain,
     place_flat_pi_gains,
-    smooth_reference,
-    step_rk4,
-    wall_equilibrium,
-    Schedule,
 )
 from heatloop.estimation import estimate_F
+from heatloop.plant import NOMINAL, ThermalState, derivatives, step_rk4, wall_equilibrium
+from heatloop.reference import Schedule, smooth_reference
 
 
 def test_ip_gains_validation():

@@ -6,28 +6,24 @@ from dataclasses import replace
 
 import pytest
 
-from heatloop import (
+from heatloop.controllers import FlatPController, PiController, clamp
+from heatloop.engine import (
+    DEFAULT_SWEEP_FACTORS,
     ConstantTExt,
-    FlatPController,
     Metrics,
-    NOMINAL,
-    PiController,
     Scenario,
-    Schedule,
     SimRecord,
     SimulationError,
     SinusoidTExt,
     TableTExt,
-    ThermalState,
-    clamp,
     compute_metrics,
     default_scenario,
     run,
     sweep,
     transition_spans,
 )
-from heatloop.engine import DEFAULT_SWEEP_FACTORS
-from heatloop.plant import derivatives
+from heatloop.plant import NOMINAL, ThermalState, derivatives
+from heatloop.reference import Schedule
 
 
 FLAT_SCHEDULE = Schedule(segments=((0.0, 16.0),), transition_duration=3600.0)

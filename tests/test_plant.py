@@ -6,7 +6,7 @@ import random
 import pytest
 from pytest import approx
 
-from heatloop import (
+from heatloop.plant import (
     NOMINAL,
     ThermalParams,
     ThermalState,

@@ -5,7 +5,7 @@ import random
 import pytest
 from pytest import approx
 
-from heatloop import (
+from heatloop.reference import (
     REFERENCE_GENERATORS,
     Schedule,
     ramp_reference,
