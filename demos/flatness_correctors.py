@@ -47,12 +47,12 @@ def main() -> None:
     print("Part 1: flat+P against an unmeasured constant load")
     sc = replace(base, controller=FlatPController(pole=-0.01, model=NOMINAL),
                  t_ext=ConstantTExt(5.0), noise_std=0.0)
-    records = run(sc)
-    tail = [r.t_int_true - r.y_star for r in records if 158400.0 <= r.t < 165600.0]
-    e_sim = sum(tail) / len(tail)
+    trace = run(sc)
+    plateau = (158400.0 <= trace.t) & (trace.t < 165600.0)
+    e_sim = (trace.t_int_true - trace.y_star)[plateau].mean()
     print(f"  steady error on the 19 degree plateau: {e_sim:+.4f} K simulated,"
           f" {predicted_offset(19.0, 5.0):+.4f} K predicted")
-    write_svg(str(OUT / "flat_p_offset.svg"), records, title="flat+P, constant 5 C outdoors")
+    write_svg(str(OUT / "flat_p_offset.svg"), trace, title="flat+P, constant 5 C outdoors")
 
     print()
     print("Part 2: flat+PI pole choice under 0.05 K measurement noise")
@@ -66,12 +66,12 @@ def main() -> None:
     metrics = {}
     for name, ctrl in rows.items():
         sc = base if ctrl is None else replace(base, controller=ctrl)
-        records = run(sc)
-        metrics[name] = compute_metrics(records)
+        trace = run(sc)
+        metrics[name] = compute_metrics(trace)
         m = metrics[name]
         print(f"{name:<16}  {m.rmse:>8.4f}  {m.control_variation:>18.0f}")
         if ctrl is not None:
-            write_svg(str(OUT / f"{name}.svg"), records, title=name)
+            write_svg(str(OUT / f"{name}.svg"), trace, title=name)
 
     churn = metrics["flat_pi_fast"].control_variation / metrics["ip"].control_variation
     lag = metrics["flat_pi_slow"].rmse / metrics["ip"].rmse

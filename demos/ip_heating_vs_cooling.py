@@ -20,11 +20,11 @@ from heatloop.svgplot import write_svg
 OUT = Path(__file__).parent / "output"
 
 
-def cooling_demand_periods(records, min_ticks=10):
+def cooling_demand_periods(trace, min_ticks=10):
     """Maximal runs of ticks whose command asks for negative heat."""
     periods, current = [], None
-    for i, r in enumerate(records):
-        if r.q_command < 0.0:
+    for i, q_command in enumerate(trace.q_command.tolist()):
+        if q_command < 0.0:
             current = (current[0], i) if current else (i, i)
         else:
             if current and current[1] - current[0] + 1 >= min_ticks:
@@ -51,10 +51,11 @@ def main() -> None:
 
     print()
     print("sustained cooling-demand periods (heating-only command < 0):")
+    err_h = abs(heat_only.t_int_true - heat_only.y_star)
+    err_c = abs(both.t_int_true - both.y_star)
     for a, b in cooling_demand_periods(heat_only):
-        t0, t1 = heat_only[a].t / 3600.0, heat_only[b].t / 3600.0
-        peak_h = max(abs(heat_only[i].t_int_true - heat_only[i].y_star) for i in range(a, b + 1))
-        peak_c = max(abs(both[i].t_int_true - both[i].y_star) for i in range(a, b + 1))
+        t0, t1 = heat_only.t[a] / 3600.0, heat_only.t[b] / 3600.0
+        peak_h, peak_c = err_h[a:b + 1].max(), err_c[a:b + 1].max()
         print(f"  {t0:6.2f} h .. {t1:6.2f} h   peak |e| {peak_h:.3f} K heating-only"
               f" vs {peak_c:.3f} K with cooling")
 

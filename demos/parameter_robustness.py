@@ -10,7 +10,6 @@ wrong.
 """
 
 from dataclasses import replace
-from pathlib import Path
 
 from heatloop import (
     FlatPController,
@@ -21,8 +20,6 @@ from heatloop import (
     sweep,
 )
 from heatloop.engine import DEFAULT_SWEEP_FACTORS
-
-OUT = Path(__file__).parent / "output"
 
 
 def main() -> None:

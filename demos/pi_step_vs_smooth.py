@@ -35,12 +35,12 @@ def main() -> None:
     print(f"{'run':<12}  {'rmse':>8}  {'max |e|':>8}  {'energy':>12}")
     metrics = {}
     for name, sc in runs.items():
-        records = run(sc)
-        metrics[name] = compute_metrics(records)
+        trace = run(sc)
+        metrics[name] = compute_metrics(trace)
         m = metrics[name]
         print(f"{name:<12}  {m.rmse:>8.4f}  {m.max_abs_error:>8.4f}  {m.energy:>12.0f}")
         if name.startswith("pi"):
-            write_svg(str(OUT / f"{name}.svg"), records, title=name)
+            write_svg(str(OUT / f"{name}.svg"), trace, title=name)
 
     ratio = metrics["pi_step"].rmse / metrics["pi_smooth"].rmse
     print()

@@ -6,9 +6,9 @@ Three subcommands:
 * ``compare`` -- the standard seven-run controller comparison
 * ``sweep``   -- plant-parameter robustness sweep, sweep.csv
 
-Exit codes: 0 on success, 2 for configuration problems (the diagnostic
-names the offending file or key), 3 when a run aborts on a non-finite
-value.
+Exit codes: 0 on success, 2 for configuration or ``--out`` problems
+(the diagnostic names the offending file, key or path), 3 when a run
+aborts on a non-finite value.
 """
 
 from __future__ import annotations
@@ -24,15 +24,13 @@ from .engine import (
     DEFAULT_SWEEP_FACTORS,
     Metrics,
     Scenario,
-    SimRecord,
     SimulationError,
+    Trace,
     compute_metrics,
     run,
     sweep,
 )
 from .svgplot import write_svg
-
-CSV_HEADER = "t,t_int_true,t_int_measured,t_wall,t_ext,y_star,y_star_dot,q_command,q_applied,f_estim"
 
 _ACTUATOR_FLAG = {"heat": HEATING_ONLY, "heat_cool": HEATING_AND_COOLING}
 
@@ -41,24 +39,14 @@ def _g9(value: float) -> str:
     return format(value, ".9g")
 
 
-def write_timeseries_csv(path: str, records: list[SimRecord]) -> None:
-    """Fixed-schema CSV: 9 significant digits, LF line ends, f_estim blank
-    for controllers without an ultra-local estimate."""
+def write_timeseries_csv(path: str, trace: Trace) -> None:
+    """One column per Trace field, in order: 9 significant digits, LF line
+    ends, f_estim blank for controllers without an ultra-local estimate."""
+    columns = [[""] * len(trace.t) if col is None else [_g9(v) for v in col.tolist()] for col in trace]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in records:
-            fh.write(",".join((
-                _g9(r.t),
-                _g9(r.t_int_true),
-                _g9(r.t_int_measured),
-                _g9(r.t_wall),
-                _g9(r.t_ext),
-                _g9(r.y_star),
-                _g9(r.y_star_dot),
-                _g9(r.q_command),
-                _g9(r.q_applied),
-                "" if r.f_estim is None else _g9(r.f_estim),
-            )) + "\n")
+        fh.write(",".join(Trace._fields) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(row) + "\n")
 
 
 def write_metrics_txt(path: str, metrics: Metrics) -> None:
@@ -93,6 +81,13 @@ def write_comparison_txt(path: str, rows: list[tuple[str, Metrics]]) -> None:
             fh.write("  ".join(cells).rstrip() + "\n")
 
 
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {path!r}: cannot create the output directory: {exc.strerror}") from None
+
+
 def _apply_overrides(sc: Scenario, args: argparse.Namespace) -> Scenario:
     if getattr(args, "controller", None):
         sc = replace(sc, controller=default_controller(args.controller, sc.plant))
@@ -108,12 +103,12 @@ def _apply_overrides(sc: Scenario, args: argparse.Namespace) -> Scenario:
 
 def cmd_run(args: argparse.Namespace) -> int:
     sc = _apply_overrides(load_scenario(args.config), args)
-    os.makedirs(args.out, exist_ok=True)
-    records = run(sc)
-    write_timeseries_csv(os.path.join(args.out, "timeseries.csv"), records)
-    write_metrics_txt(os.path.join(args.out, "metrics.txt"), compute_metrics(records))
+    _make_out_dir(args.out)
+    trace = run(sc)
+    write_timeseries_csv(os.path.join(args.out, "timeseries.csv"), trace)
+    write_metrics_txt(os.path.join(args.out, "metrics.txt"), compute_metrics(trace))
     if args.plot:
-        write_svg(os.path.join(args.out, "plot.svg"), records, title=f"{sc.controller.kind} / {sc.reference_mode}")
+        write_svg(os.path.join(args.out, "plot.svg"), trace, title=f"{sc.controller.kind} / {sc.reference_mode}")
     return 0
 
 
@@ -121,14 +116,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     base = load_scenario(args.config)
     if getattr(args, "seed", None) is not None:
         base = replace(base, rng_seed=args.seed)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     rows = []
     for name, sc in comparison_scenarios(base):
-        records = run(sc)
-        write_timeseries_csv(os.path.join(args.out, f"{name}.csv"), records)
+        trace = run(sc)
+        write_timeseries_csv(os.path.join(args.out, f"{name}.csv"), trace)
         if args.plot:
-            write_svg(os.path.join(args.out, f"{name}.svg"), records, title=name)
-        rows.append((name, compute_metrics(records)))
+            write_svg(os.path.join(args.out, f"{name}.svg"), trace, title=name)
+        rows.append((name, compute_metrics(trace)))
     write_comparison_txt(os.path.join(args.out, "comparison.txt"), rows)
     return 0
 
@@ -136,7 +131,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = _apply_overrides(load_scenario(args.config), args)
     kinds = [args.controller] if getattr(args, "controller", None) else list(CONTROLLERS)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     with open(os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("controller,factor,rmse,energy,control_variation\n")
         for kind in kinds:

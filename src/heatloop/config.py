@@ -185,6 +185,8 @@ def _load_t_ext_table(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
             if not times:    # tolerate a single header row
                 continue
             raise ConfigError(f"t_ext.file {path!r}: bad number in {row!r}") from None
+        if not (math.isfinite(t) and math.isfinite(temp)):
+            raise ConfigError(f"t_ext.file {path!r}: non-finite value in {row!r}")
         times.append(t)
         temps.append(temp)
     if len(times) < 2:

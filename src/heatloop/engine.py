@@ -4,11 +4,11 @@ One control tick does, in order: sample the measured output (true plus
 noise), update estimator/integrator state, evaluate the reference,
 compute the heat command, clamp it, then advance the plant one RK4 step
 with the applied heat and the current outdoor temperature held constant.
-The per-tick log is returned as a list of SimRecord.
+The per-tick log is returned as a :class:`Trace` of float64 columns.
 
 Runs are deterministic: the measurement noise comes from the seeded
 counter-mode stream in :mod:`heatloop.noise`, so identical scenarios
-with identical seeds reproduce identical records bit for bit.
+with identical seeds reproduce identical traces bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -65,10 +65,6 @@ class SinusoidTExt:
     phase: float = -math.pi
 
     kind = "sinusoid"
-
-    def __post_init__(self) -> None:
-        if self.period == 0.0:
-            raise ValueError("period must be nonzero")
 
     def at(self, t: float) -> float:
         return self.mean + self.amplitude * math.sin(2.0 * math.pi * t / self.period + self.phase)
@@ -164,6 +160,11 @@ class Scenario:
             raise ValueError(f"dt={self.dt!r} does not divide horizon={self.horizon!r}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
             raise ValueError(f"noise_std must be nonnegative, got {self.noise_std!r}")
+        if isinstance(self.t_ext, SinusoidTExt):
+            # the phase 2*pi*t/period must stay finite up to t = horizon
+            period = self.t_ext.period
+            if period == 0.0 or not math.isfinite(2.0 * math.pi * self.horizon / period):
+                raise ValueError(f"t_ext.period={period!r} is too short for horizon={self.horizon!r}")
         if self.reference_mode not in REFERENCE_GENERATORS:
             raise ValueError(f"unknown reference_mode {self.reference_mode!r}")
         if self.schedule.start > 0.0:
@@ -219,7 +220,7 @@ class _FeedforwardPiLoop:
         # -0.0 + x == x for every x, sign of zero included, so without a
         # model the command is exactly the PI output
         q_ff = -0.0 if self.model is None else flat_feedforward(y_star, y_star_dot, self.model)
-        return q_ff + pi_control(e, self._candidate, self.gains), None
+        return q_ff + pi_control(e, self._candidate, self.gains), math.nan    # no estimate: run() logs None
 
     def applied(self, q_applied: float, clamped: bool) -> None:
         # conditional integration: the integral freezes while the clamp
@@ -241,25 +242,25 @@ def _build_loop(sc: Scenario):
 # running and measuring
 
 
-@dataclass(frozen=True)
-class SimRecord:
-    """One control tick.  f_estim is None for controllers that do not
-    carry an ultra-local estimate."""
+class Trace(NamedTuple):
+    """The per-tick log of one run: one contiguous float64 column per
+    field, one entry per tick.  f_estim is None for controllers that do
+    not carry an ultra-local estimate."""
 
-    t: float
-    t_int_true: float
-    t_int_measured: float
-    t_wall: float
-    t_ext: float
-    y_star: float
-    y_star_dot: float
-    q_command: float
-    q_applied: float
-    f_estim: float | None
+    t: np.ndarray
+    t_int_true: np.ndarray
+    t_int_measured: np.ndarray
+    t_wall: np.ndarray
+    t_ext: np.ndarray
+    y_star: np.ndarray
+    y_star_dot: np.ndarray
+    q_command: np.ndarray
+    q_applied: np.ndarray
+    f_estim: np.ndarray | None
 
 
-def run(scenario: Scenario, noise_source: Callable[[int], float] | None = None) -> list[SimRecord]:
-    """Simulate one closed-loop run and return the per-tick log.
+def run(scenario: Scenario, noise_source: Callable[[int], float] | None = None) -> Trace:
+    """Simulate one closed-loop run and return its per-tick trace.
 
     ``noise_source`` maps a tick index to the measurement noise in K and
     exists so tests can inject tailored streams; by default it is
@@ -275,7 +276,8 @@ def run(scenario: Scenario, noise_source: Callable[[int], float] | None = None) 
     ref = REFERENCE_GENERATORS[sc.reference_mode]
     loop = _build_loop(sc)
     state = sc.initial
-    records: list[SimRecord] = []
+    # row j holds field j of Trace, so each column handed out is contiguous
+    buf = np.empty((len(Trace._fields), sc.num_ticks))
     for k in range(sc.num_ticks):
         t = k * sc.dt
         te = sc.t_ext.at(t)
@@ -287,11 +289,11 @@ def run(scenario: Scenario, noise_source: Callable[[int], float] | None = None) 
         loop.applied(q_applied, q_applied != q_command)
         if not (math.isfinite(y_meas) and math.isfinite(q_command)):
             raise SimulationError(f"non-finite controller value at tick {k} (t={t})")
-        records.append(SimRecord(t, y_true, y_meas, state.t_wall, te, y_star, y_star_dot, q_command, q_applied, f_estim))
+        buf[:, k] = (t, y_true, y_meas, state.t_wall, te, y_star, y_star_dot, q_command, q_applied, f_estim)
         state = step_rk4(state, q_applied, te, sc.dt, sc.plant)
         if not (math.isfinite(state.t_int) and math.isfinite(state.t_wall)):
             raise SimulationError(f"non-finite plant state at tick {k} (t={t})")
-    return records
+    return Trace(*buf[:-1], buf[-1] if isinstance(loop, _IpLoop) else None)
 
 
 @dataclass(frozen=True)
@@ -309,7 +311,7 @@ class Metrics:
         return {name: getattr(self, name) for name in Metrics.FIELDS}
 
 
-def compute_metrics(records: list[SimRecord]) -> Metrics:
+def compute_metrics(trace: Trace) -> Metrics:
     """Summary metrics over one run.
 
     Errors are measured on the true indoor temperature, not the noisy
@@ -317,12 +319,11 @@ def compute_metrics(records: list[SimRecord]) -> Metrics:
     energy counts positive heat only, cooling_energy the magnitude of
     negative heat.
     """
-    if len(records) < 2:
+    if len(trace.t) < 2:
         raise ValueError("need at least two records to infer the tick length")
-    dt = records[1].t - records[0].t
-    e = np.array([r.t_int_true - r.y_star for r in records])
-    q = np.array([r.q_applied for r in records])
-    q_cmd = np.array([r.q_command for r in records])
+    dt = trace.t[1] - trace.t[0]
+    e = trace.t_int_true - trace.y_star
+    q, q_cmd = trace.q_applied, trace.q_command
     return Metrics(
         rmse=float(np.sqrt(np.mean(e * e))),
         max_abs_error=float(np.max(np.abs(e))),

@@ -6,7 +6,7 @@ No plotting dependency: the CLI only needs a quick two-panel view
 
 from __future__ import annotations
 
-from .engine import SimRecord
+from .engine import Trace
 
 _WIDTH = 900
 _PANEL_H = 220
@@ -53,15 +53,12 @@ class _Panel:
         return out
 
 
-def render_svg(records: list[SimRecord], title: str = "") -> str:
+def render_svg(trace: Trace, title: str = "") -> str:
     """Two stacked panels: reference and indoor temperature, then applied heat."""
-    if not records:
+    if not len(trace.t):
         raise ValueError("nothing to plot")
-    hours = [r.t / 3600.0 for r in records]
-    t_int = [r.t_int_true for r in records]
-    y_star = [r.y_star for r in records]
-    t_ext = [r.t_ext for r in records]
-    q = [r.q_applied for r in records]
+    hours = (trace.t / 3600.0).tolist()
+    t_int, y_star, t_ext, q = (c.tolist() for c in (trace.t_int_true, trace.y_star, trace.t_ext, trace.q_applied))
 
     height = _MARGIN_T + 2 * _PANEL_H + _GAP + 40
     lo1, hi1 = _bounds(t_int + y_star + t_ext)
@@ -92,6 +89,6 @@ def render_svg(records: list[SimRecord], title: str = "") -> str:
     return "\n".join(parts) + "\n"
 
 
-def write_svg(path: str, records: list[SimRecord], title: str = "") -> None:
+def write_svg(path: str, trace: Trace, title: str = "") -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_svg(records, title))
+        fh.write(render_svg(trace, title))

@@ -12,9 +12,10 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from heatloop.cli import CSV_HEADER, write_timeseries_csv
+from heatloop.cli import write_timeseries_csv
 from heatloop.config import parse_scenario, serialize_scenario
 from heatloop.controllers import (
     HEATING_AND_COOLING,
@@ -57,14 +58,14 @@ def base() -> Scenario:
 
 @pytest.fixture(scope="module")
 def ip_cool(base):
-    records = run(base)
-    return records, compute_metrics(records)
+    trace = run(base)
+    return trace, compute_metrics(trace)
 
 
 @pytest.fixture(scope="module")
 def ip_heat(base):
-    records = run(replace(base, actuator=ActuatorMode(mode=HEATING_ONLY, q_max=base.actuator.q_max)))
-    return records, compute_metrics(records)
+    trace = run(replace(base, actuator=ActuatorMode(mode=HEATING_ONLY, q_max=base.actuator.q_max)))
+    return trace, compute_metrics(trace)
 
 
 @pytest.fixture(scope="module")
@@ -124,26 +125,28 @@ def test_a1_plant_oracle_equivalence(capsys):
 
 
 def test_a2_tracking_and_heating_only_penalty(capsys, base, ip_cool, ip_heat):
-    cool_records, cool_metrics = ip_cool
-    heat_records, _ = ip_heat
+    cool, cool_metrics = ip_cool
+    heat, _ = ip_heat
     D = base.schedule.transition_duration
+    cool_err = np.abs(cool.t_int_true - cool.y_star)
+    heat_err = np.abs(heat.t_int_true - heat.y_star)
 
     # quiescent error: outside 4x transition windows, after 4x startup
     spans = transition_spans(base.schedule, window_mult=4.0)
     quiescent = [
-        abs(r.t_int_true - r.y_star)
-        for r in cool_records
-        if r.t >= 4.0 * D and not any(s <= r.t < e for s, e in spans)
+        err
+        for t, err in zip(cool.t.tolist(), cool_err.tolist())
+        if t >= 4.0 * D and not any(s <= t < e for s, e in spans)
     ]
     q_max_err = max(quiescent)
 
-    heating_only_ok = all(r.q_applied >= 0.0 for r in heat_records)
+    heating_only_ok = bool((heat.q_applied >= 0.0).all())
 
     # cooling-demand periods: maximal runs (>= 10 ticks) where the
     # heating-only controller asks for negative heat it cannot get
     periods, current = [], None
-    for i, r in enumerate(heat_records):
-        if r.q_command < 0.0:
+    for i, q_command in enumerate(heat.q_command.tolist()):
+        if q_command < 0.0:
             current = (current[0], i) if current else (i, i)
         else:
             if current and current[1] - current[0] + 1 >= 10:
@@ -154,9 +157,7 @@ def test_a2_tracking_and_heating_only_penalty(capsys, base, ip_cool, ip_heat):
 
     peaks = []
     for a, b in periods:
-        peak_heat = max(abs(heat_records[i].t_int_true - heat_records[i].y_star) for i in range(a, b + 1))
-        peak_cool = max(abs(cool_records[i].t_int_true - cool_records[i].y_star) for i in range(a, b + 1))
-        peaks.append((peak_heat, peak_cool))
+        peaks.append((heat_err[a:b + 1].max(), cool_err[a:b + 1].max()))
 
     ok = (
         cool_metrics.rmse < 0.15
@@ -209,8 +210,9 @@ def test_a3_pi_step_vs_smooth_and_parity_with_ip(capsys, ip_cool, pi_metrics):
 def test_a4_feedforward_steady_state_offset(capsys, base):
     sc = replace(base, controller=FlatPController(pole=-0.01, model=NOMINAL),
                  t_ext=ConstantTExt(5.0), noise_std=0.0)
-    records = run(sc)
-    tail = [r.t_int_true - r.y_star for r in records if 158400.0 <= r.t < 165600.0]
+    trace = run(sc)
+    plateau = (158400.0 <= trace.t) & (trace.t < 165600.0)
+    tail = (trace.t_int_true - trace.y_star)[plateau].tolist()
     e_ss = sum(tail) / len(tail)
 
     # steady-state oracle, solved by hand from the nominal parameters:
@@ -368,10 +370,11 @@ def test_a8_determinism_and_formats(capsys, tmp_path, base):
         if parse_scenario(serialize_scenario(sc)) != sc:
             round_trip_failures += 1
 
-    ok = identical and header == CSV_HEADER and round_trip_failures == 0
+    header_exact = header == "t,t_int_true,t_int_measured,t_wall,t_ext,y_star,y_star_dot,q_command,q_applied,f_estim"
+    ok = identical and header_exact and round_trip_failures == 0
     _report(capsys, "A8 determinism and formats", ok,
-            f"byte-identical CSV: {identical}, header exact: {header == CSV_HEADER}, "
+            f"byte-identical CSV: {identical}, header exact: {header_exact}, "
             f"config round-trip failures: {round_trip_failures}/20")
     assert identical
-    assert header == CSV_HEADER
+    assert header_exact
     assert round_trip_failures == 0

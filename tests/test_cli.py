@@ -4,16 +4,13 @@ Everything goes through main(argv) so the tests cover argument parsing,
 config loading, the run itself and the on-disk output formats.
 """
 
-import os
-import subprocess
-import sys
-
 import pytest
 
-import heatloop
 from heatloop.config import save_scenario
 from heatloop.engine import compute_metrics, default_scenario, run
-from heatloop.cli import CSV_HEADER, comparison_scenarios, main
+from heatloop.cli import comparison_scenarios, main
+
+CSV_HEADER = "t,t_int_true,t_int_measured,t_wall,t_ext,y_star,y_star_dot,q_command,q_applied,f_estim"
 
 
 EQUILIBRIUM_CFG = """\
@@ -247,6 +244,7 @@ def test_missing_config_exits_2(tmp_path, capsys):
         ("controller.window_len = 1\n", "window_len"),
         ("controller.alpha = 0\n", "alpha"),
         ("controller.window_len = 1000000000000000000000000000000\n", "window_len"),
+        ("t_ext.period = 1e-320\n", "t_ext.period"),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, text, key):
@@ -256,6 +254,30 @@ def test_bad_config_exits_2(tmp_path, capsys, text, key):
     assert code == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("row", ["100000,nan", "100000,inf", "nan,2.0"])
+def test_non_finite_table_cell_exits_2(tmp_path, capsys, row):
+    (tmp_path / "w.csv").write_text(f"time,temp\n0,2.0\n{row}\n", encoding="utf-8")
+    cfg = tmp_path / "table.cfg"
+    cfg.write_text("t_ext.kind = table\nt_ext.file = w.csv\n", encoding="utf-8")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "w.csv" in err and row in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, default_cfg, command, out):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    path = str(tmp_path / out)
+    code = main([command, "--config", default_cfg, "--out", path])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert path in err
 
 
 def test_diverging_run_exits_3(tmp_path, capsys):
@@ -268,16 +290,6 @@ def test_diverging_run_exits_3(tmp_path, capsys):
     assert "tick" in err
 
 
-def _run_cli_process(*args):
-    # the child imports the same heatloop as this test, installed or not
-    src = os.path.dirname(os.path.dirname(heatloop.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    return subprocess.run(
-        [sys.executable, "-m", "heatloop.cli", *args],
-        capture_output=True, text=True, timeout=60, env=env,
-    )
-
-
 @pytest.mark.parametrize(
     "text, code, named",
     [
@@ -288,17 +300,17 @@ def _run_cli_process(*args):
     ],
     ids=["tiny_dt", "subnormal_dt", "zero_period", "tick_count_overflow"],
 )
-def test_extreme_inputs_exit_cleanly(tmp_path, text, code, named):
+def test_extreme_inputs_exit_cleanly(tmp_path, run_python, text, code, named):
     cfg = tmp_path / "extreme.cfg"
     cfg.write_text(text, encoding="utf-8")
-    proc = _run_cli_process("run", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    proc = run_python("-m", "heatloop.cli", "run", "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert "Traceback" not in proc.stderr
     assert proc.returncode == code
     if named:
         assert named in proc.stderr
 
 
-def test_module_entry_point_help():
-    proc = _run_cli_process("--help")
+def test_module_entry_point_help(run_python):
+    proc = run_python("-m", "heatloop.cli", "--help")
     assert proc.returncode == 0
     assert "run" in proc.stdout and "compare" in proc.stdout and "sweep" in proc.stdout
