@@ -170,8 +170,13 @@ class ActuatorMode:
         if not (math.isfinite(self.q_max) and self.q_max > 0.0):
             raise ValueError(f"q_max must be positive, got {self.q_max!r}")
 
+    @property
+    def bounds(self) -> tuple[float, float]:
+        """(lowest, highest) heat the actuator applies."""
+        return (0.0 if self.mode == HEATING_ONLY else -self.q_max), self.q_max
+
 
 def clamp(q: float, actuator: ActuatorMode) -> float:
     """Apply the actuator saturation to a commanded heat."""
-    lo = 0.0 if actuator.mode == HEATING_ONLY else -actuator.q_max
-    return min(max(q, lo), actuator.q_max)
+    lo, hi = actuator.bounds
+    return min(max(q, lo), hi)

@@ -1,10 +1,14 @@
 """Closed-loop simulation engine.
 
-One control tick does, in order: sample the measured output (true plus
-noise), update estimator/integrator state, evaluate the reference,
-compute the heat command, clamp it, then advance the plant one RK4 step
-with the applied heat and the current outdoor temperature held constant.
-The per-tick log is returned as a :class:`Trace` of float64 columns.
+A run first fills the inputs that depend only on the tick index --
+time, outdoor temperature, reference and measurement noise -- as whole
+columns of its :class:`Trace` buffer.  The tick loop then holds only
+what depends on the state: in order, sample the measured output (true
+plus noise), update estimator/integrator state, compute the heat
+command from the precomputed reference, clamp it, then advance the
+plant one RK4 step with the applied heat and the tick's outdoor
+temperature held constant.  The per-tick log is returned as a
+:class:`Trace` of float64 columns.
 
 Runs are deterministic: the measurement noise comes from the seeded
 counter-mode stream in :mod:`heatloop.noise`, so identical scenarios
@@ -16,7 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -26,15 +30,14 @@ from .controllers import (
     ControllerConfig,
     IpController,
     PiController,
-    clamp,
     flat_feedforward,
     ip_control,
     pi_control,
 )
 from .estimation import SlopeEstimator, estimate_F
-from .noise import gaussian
-from .plant import NOMINAL, ThermalParams, ThermalState, step_rk4, wall_equilibrium
-from .reference import REFERENCE_GENERATORS, Schedule
+from .noise import gaussian_column
+from .plant import NOMINAL, ThermalParams, ThermalState, rk4_stepper, wall_equilibrium
+from .reference import REFERENCE_GENERATORS, Schedule, fill_reference
 
 
 class SimulationError(RuntimeError):
@@ -259,40 +262,68 @@ class Trace(NamedTuple):
     f_estim: np.ndarray | None
 
 
-def run(scenario: Scenario, noise_source: Callable[[int], float] | None = None) -> Trace:
+def _fill_t_ext(profile: TExtProfile, t: np.ndarray, out: np.ndarray) -> None:
+    if isinstance(profile, ConstantTExt):
+        out.fill(profile.value)
+        return
+    at, out_view = profile.at, memoryview(out)
+    for k, t_k in enumerate(memoryview(t)):
+        out_view[k] = at(t_k)
+
+
+def run(scenario: Scenario, noise_source: np.ndarray | None = None) -> Trace:
     """Simulate one closed-loop run and return its per-tick trace.
 
-    ``noise_source`` maps a tick index to the measurement noise in K and
-    exists so tests can inject tailored streams; by default it is
-    noise_std * gaussian(rng_seed, k).
+    ``noise_source`` is the measurement noise in K, one value per tick,
+    and exists so tests can inject tailored streams; by default it is
+    noise_std * gaussian_column(rng_seed, num_ticks).
     """
     sc = scenario
     sc.validate()
-    if noise_source is None:
-        if sc.noise_std > 0.0:
-            noise_source = lambda k: sc.noise_std * gaussian(sc.rng_seed, k)
-        else:
-            noise_source = lambda k: 0.0
-    ref = REFERENCE_GENERATORS[sc.reference_mode]
+    n, dt = sc.num_ticks, sc.dt
+    if noise_source is not None and len(noise_source) != n:
+        raise ValueError(f"noise_source has {len(noise_source)} values, the run has {n} ticks")
+    try:
+        if noise_source is None:
+            noise_source = sc.noise_std * gaussian_column(sc.rng_seed, n) if sc.noise_std > 0.0 else 0.0
+        # row j holds field j of Trace, so each column handed out is contiguous
+        buf = np.empty((len(Trace._fields), n))
+    except MemoryError:
+        raise ValueError(f"horizon={sc.horizon!r} / dt={dt!r} gives {n} ticks, too many to hold in memory") from None
+
+    # the inputs: every row the loop reads is filled before it starts
+    t, _, noise, _, t_ext, y_star, y_star_dot, _, _, _ = buf
+    t[:] = np.arange(n)
+    t *= dt
+    _fill_t_ext(sc.t_ext, t, t_ext)
+    fill_reference(sc.schedule, sc.reference_mode, t, y_star, y_star_dot)
+    noise[:] = noise_source
+
+    # the loop: the control law and the plant state
     loop = _build_loop(sc)
-    state = sc.initial
-    # row j holds field j of Trace, so each column handed out is contiguous
-    buf = np.empty((len(Trace._fields), sc.num_ticks))
-    for k in range(sc.num_ticks):
-        t = k * sc.dt
-        te = sc.t_ext.at(t)
-        y_true = state.t_int
-        y_meas = y_true + noise_source(k)
-        y_star, y_star_dot = ref(sc.schedule, t)
-        q_command, f_estim = loop.command(y_meas, y_star, y_star_dot, sc.dt)
-        q_applied = clamp(q_command, sc.actuator)
-        loop.applied(q_applied, q_applied != q_command)
-        if not (math.isfinite(y_meas) and math.isfinite(q_command)):
-            raise SimulationError(f"non-finite controller value at tick {k} (t={t})")
-        buf[:, k] = (t, y_true, y_meas, state.t_wall, te, y_star, y_star_dot, q_command, q_applied, f_estim)
-        state = step_rk4(state, q_applied, te, sc.dt, sc.plant)
-        if not (math.isfinite(state.t_int) and math.isfinite(state.t_wall)):
-            raise SimulationError(f"non-finite plant state at tick {k} (t={t})")
+    command, applied = loop.command, loop.applied
+    step = rk4_stepper(sc.plant, dt)
+    q_lo, q_hi = sc.actuator.bounds
+    isfinite = math.isfinite
+    # the measured row holds the noise until its tick overwrites it
+    T, Y, M, W, TE, YS, YD, QC, QA, F = (memoryview(row) for row in buf)
+    ti, tw = sc.initial.t_int, sc.initial.t_wall
+    for k in range(n):
+        y_meas = ti + M[k]
+        q_command, f_estim = command(y_meas, YS[k], YD[k], dt)
+        q_applied = min(max(q_command, q_lo), q_hi)
+        applied(q_applied, q_applied != q_command)
+        if not (isfinite(y_meas) and isfinite(q_command)):
+            raise SimulationError(f"non-finite controller value at tick {k} (t={T[k]})")
+        Y[k] = ti
+        M[k] = y_meas
+        W[k] = tw
+        QC[k] = q_command
+        QA[k] = q_applied
+        F[k] = f_estim
+        ti, tw = step(ti, tw, q_applied, TE[k])
+        if not (isfinite(ti) and isfinite(tw)):
+            raise SimulationError(f"non-finite plant state at tick {k} (t={T[k]})")
     return Trace(*buf[:-1], buf[-1] if isinstance(loop, _IpLoop) else None)
 
 
@@ -317,21 +348,27 @@ def compute_metrics(trace: Trace) -> Metrics:
     Errors are measured on the true indoor temperature, not the noisy
     measurement.  Integrals use the rectangle rule on the tick grid;
     energy counts positive heat only, cooling_energy the magnitude of
-    negative heat.
+    negative heat.  A metric that overflows raises SimulationError
+    naming it.
     """
     if len(trace.t) < 2:
         raise ValueError("need at least two records to infer the tick length")
     dt = trace.t[1] - trace.t[0]
     e = trace.t_int_true - trace.y_star
     q, q_cmd = trace.q_applied, trace.q_command
-    return Metrics(
-        rmse=float(np.sqrt(np.mean(e * e))),
-        max_abs_error=float(np.max(np.abs(e))),
-        energy=float(dt * np.sum(np.clip(q, 0.0, None))),
-        cooling_energy=float(dt * np.sum(np.clip(-q, 0.0, None))),
-        control_variation=float(np.sum(np.abs(np.diff(q)))),
-        saturation_fraction=float(np.mean(q_cmd != q)),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        metrics = Metrics(
+            rmse=float(np.sqrt(np.mean(e * e))),
+            max_abs_error=float(np.max(np.abs(e))),
+            energy=float(dt * np.sum(np.clip(q, 0.0, None))),
+            cooling_energy=float(dt * np.sum(np.clip(-q, 0.0, None))),
+            control_variation=float(np.sum(np.abs(np.diff(q)))),
+            saturation_fraction=float(np.mean(q_cmd != q)),
+        )
+    for name, value in metrics.as_dict().items():
+        if not math.isfinite(value):
+            raise SimulationError(f"metric {name} is not finite ({value!r})")
+    return metrics
 
 
 def transition_spans(sched: Schedule, window_mult: float = 1.0) -> list[tuple[float, float]]:

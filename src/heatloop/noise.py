@@ -10,11 +10,19 @@ in counter mode,
 which equals the k-th output of the sequential reference generator.
 Gaussians use the Box-Muller transform on consecutive uniform pairs, one
 gaussian per tick (the sine half is discarded).
+
+:func:`gaussian_column` draws a whole run's stream at once.  SplitMix64
+is integer arithmetic modulo 2^64, so running it in numpy ``uint64`` is
+exact; the logarithm and cosine of Box-Muller stay on ``math`` per draw,
+because numpy's versions differ from them in the last bit on a few
+draws.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -46,3 +54,28 @@ def gaussian(seed: int, k: int) -> float:
     if u1 <= 0.0:
         u1 = 2.0 ** -53
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def _uniform_column(seed: int, m: int) -> np.ndarray:
+    """uniform(seed, j) for j < m, as one float64 array."""
+    z = np.arange(1, m + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)     # uint64 arithmetic wraps modulo 2^64
+    z += np.uint64(seed & _MASK)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    return z.astype(np.float64) * 2.0 ** -53
+
+
+def gaussian_column(seed: int, n: int) -> np.ndarray:
+    """gaussian(seed, k) for k < n, as one float64 array, bit for bit."""
+    u = _uniform_column(seed, 2 * n).reshape(n, 2)
+    u1 = np.maximum(u[:, 0], 2.0 ** -53)
+    angle = (2.0 * math.pi) * u[:, 1]
+    del u
+    log_u1 = np.fromiter(map(math.log, memoryview(u1)), np.float64, n)
+    cos_angle = np.fromiter(map(math.cos, memoryview(angle)), np.float64, n)
+    return np.sqrt(-2.0 * log_u1) * cos_angle

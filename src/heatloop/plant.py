@@ -17,13 +17,15 @@ flag automatically.
 For piecewise-constant q and t_ext the model is affine LTI, so each
 hold interval has a closed-form solution.  ``exact_step`` evaluates it
 through the eigendecomposition of the 2x2 system matrix and serves as
-an independent reference for the ``step_rk4`` integrator.
+an independent reference for the ``step_rk4`` integrator.  The engine
+steps with :func:`rk4_stepper`, the same integrator on bare floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,40 @@ def step_rk4(state: ThermalState, q: float, t_ext: float, dt: float, params: The
         ti + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
         tw + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
     )
+
+
+def rk4_stepper(params: ThermalParams, dt: float) -> Callable[[float, float, float, float], tuple[float, float]]:
+    """``step(t_int, t_wall, q, t_ext) -> (t_int, t_wall)``: the ``step_rk4``
+    of ``params`` and ``dt`` on bare floats.
+
+    The coefficient quotients and step fractions are computed once; every
+    other operation is the one ``step_rk4`` does, in its order, so the two
+    agree bit for bit.
+    """
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    p = params
+    c_a = p.c_a
+    a_ic, a_if = p.k_c / c_a, p.k_f / c_a
+    a_wc, a_we = p.k_c / p.c_w, p.k_ext / (p.c_w if p.wall_denominator_cw else c_a)
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def step(ti: float, tw: float, q: float, te: float) -> tuple[float, float]:
+        q_a = q / c_a
+        d1 = q_a - a_ic * (ti - tw) - a_if * (ti - te)
+        w1 = a_wc * (ti - tw) - a_we * (tw - te)
+        i2, x2 = ti + half * d1, tw + half * w1
+        d2 = q_a - a_ic * (i2 - x2) - a_if * (i2 - te)
+        w2 = a_wc * (i2 - x2) - a_we * (x2 - te)
+        i3, x3 = ti + half * d2, tw + half * w2
+        d3 = q_a - a_ic * (i3 - x3) - a_if * (i3 - te)
+        w3 = a_wc * (i3 - x3) - a_we * (x3 - te)
+        i4, x4 = ti + dt * d3, tw + dt * w3
+        d4 = q_a - a_ic * (i4 - x4) - a_if * (i4 - te)
+        w4 = a_wc * (i4 - x4) - a_we * (x4 - te)
+        return ti + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4), tw + sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
+
+    return step
 
 
 def system_matrices(params: ThermalParams = NOMINAL) -> tuple[tuple[float, float, float, float], tuple[float, float, float]]:

@@ -13,6 +13,12 @@ reference (y_star, y_star_dot):
 The transition starts at the boundary, so y_star leaves the old
 setpoint at the boundary instant and reaches the new one D seconds
 later.
+
+:func:`fill_reference` writes a whole run's reference at once: one
+slice fill per hold, and the blend evaluated on the ticks of each
+transition window only.  The blends are written once and evaluate
+floats and arrays alike, so the columns equal the scalar generators
+bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -68,6 +76,25 @@ def _segment_context(sched: Schedule, t: float) -> tuple[float, float, float]:
     return prev_sp, sched.segments[i][1], t - starts[i]
 
 
+def _quintic_blend(prev, cur, tau, d):
+    sigma = tau / d
+    s = sigma * sigma * sigma * (10.0 + sigma * (-15.0 + 6.0 * sigma))
+    ds = 30.0 * sigma * sigma * (1.0 - sigma) * (1.0 - sigma) / d
+    return prev + (cur - prev) * s, (cur - prev) * ds
+
+
+def _linear_blend(prev, cur, tau, d):
+    return prev + (cur - prev) * (tau / d), (cur - prev) / d
+
+
+def _blended(blend, sched: Schedule, t: float) -> tuple[float, float]:
+    prev, cur, tau = _segment_context(sched, t)
+    d = sched.transition_duration
+    if prev == cur or tau >= d:
+        return cur, 0.0
+    return blend(prev, cur, tau, d)
+
+
 def step_reference(sched: Schedule, t: float) -> tuple[float, float]:
     """Piecewise-constant reference: the active setpoint, slope 0."""
     _, cur, _ = _segment_context(sched, t)
@@ -80,23 +107,12 @@ def smooth_reference(sched: Schedule, t: float) -> tuple[float, float]:
     With sigma = tau/D the blend is s = 6 sigma^5 - 15 sigma^4 + 10 sigma^3,
     whose first and second derivatives vanish at both ends.
     """
-    prev, cur, tau = _segment_context(sched, t)
-    d = sched.transition_duration
-    if prev == cur or tau >= d:
-        return cur, 0.0
-    sigma = tau / d
-    s = sigma * sigma * sigma * (10.0 + sigma * (-15.0 + 6.0 * sigma))
-    ds = 30.0 * sigma * sigma * (1.0 - sigma) * (1.0 - sigma) / d
-    return prev + (cur - prev) * s, (cur - prev) * ds
+    return _blended(_quintic_blend, sched, t)
 
 
 def ramp_reference(sched: Schedule, t: float) -> tuple[float, float]:
     """Linear blend a -> b over [start, start + D); slope (b-a)/D inside."""
-    prev, cur, tau = _segment_context(sched, t)
-    d = sched.transition_duration
-    if prev == cur or tau >= d:
-        return cur, 0.0
-    return prev + (cur - prev) * (tau / d), (cur - prev) / d
+    return _blended(_linear_blend, sched, t)
 
 
 REFERENCE_GENERATORS = {
@@ -104,3 +120,39 @@ REFERENCE_GENERATORS = {
     "smooth": smooth_reference,
     "ramp": ramp_reference,
 }
+
+
+def _window_end(t: np.ndarray, start: float, d: float, lo: int, hi: int) -> int:
+    """First tick in [lo, hi) whose tau = t - start reaches d, else hi.
+
+    tau rises with t, so the window is a prefix of the segment: start
+    from the unrounded guess t < start + d and step to the rounded edge.
+    """
+    k = min(max(int(np.searchsorted(t, start + d)), lo), hi)
+    while k > lo and t[k - 1] - start >= d:
+        k -= 1
+    while k < hi and t[k] - start < d:
+        k += 1
+    return k
+
+
+_BLENDS = {"step": None, "smooth": _quintic_blend, "ramp": _linear_blend}
+
+
+def fill_reference(sched: Schedule, mode: str, t: np.ndarray, y_star: np.ndarray, y_star_dot: np.ndarray) -> None:
+    """Write the ``mode`` reference at the nondecreasing times ``t`` into
+    ``y_star`` and ``y_star_dot``, equal to ``REFERENCE_GENERATORS[mode]``
+    at every entry."""
+    if len(t) and t[0] < sched.start:
+        raise ValueError(f"t={float(t[0])!r} precedes the first segment start {sched.start!r}")
+    blend = _BLENDS[mode]
+    d = sched.transition_duration
+    first_ticks = np.searchsorted(t, [s for s, _ in sched.segments]).tolist()
+    prev = sched.segments[0][1]
+    for (start, cur), lo, hi in zip(sched.segments, first_ticks, first_ticks[1:] + [len(t)]):
+        y_star[lo:hi] = cur
+        y_star_dot[lo:hi] = 0.0
+        if blend is not None and prev != cur and lo < hi:
+            end = _window_end(t, start, d, lo, hi)
+            y_star[lo:end], y_star_dot[lo:end] = blend(prev, cur, t[lo:end] - start, d)
+        prev = cur

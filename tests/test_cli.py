@@ -297,14 +297,18 @@ def test_diverging_run_exits_3(tmp_path, capsys):
         ("dt = 1e-310\nhorizon = 1e-309\n", 3, "tick"),
         ("t_ext.kind = sinusoid\nt_ext.period = 0.0\n", 2, "t_ext"),
         ("horizon = 1e308\ndt = 1e-10\n", 2, "horizon"),
+        # 80 PB of trace: beyond any address space, so no overcommit hides it
+        ("horizon = 1e15\ndt = 1.0\n", 2, "horizon=1000000000000000.0 / dt=1.0 gives 1000000000000000 ticks"),
+        ("initial.t_int = 1e300\n", 3, "rmse"),
     ],
-    ids=["tiny_dt", "subnormal_dt", "zero_period", "tick_count_overflow"],
+    ids=["tiny_dt", "subnormal_dt", "zero_period", "tick_count_overflow", "unallocatable_trace", "metric_overflow"],
 )
 def test_extreme_inputs_exit_cleanly(tmp_path, run_python, text, code, named):
     cfg = tmp_path / "extreme.cfg"
     cfg.write_text(text, encoding="utf-8")
     proc = run_python("-m", "heatloop.cli", "run", "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
     assert proc.returncode == code
     if named:
         assert named in proc.stderr

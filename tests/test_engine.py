@@ -2,6 +2,7 @@
 transition bookkeeping and the robustness sweep."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -143,14 +144,16 @@ def test_runs_are_bit_identical():
 
 
 def test_noise_source_overrides_seeded_stream():
-    quiet = run(default_scenario(), noise_source=lambda k: 0.0)
+    quiet = run(default_scenario(), noise_source=np.zeros(default_scenario().num_ticks))
     noise_free = run(default_scenario(noise_std=0.0))
     assert same_columns(quiet, noise_free)
 
 
 def test_measurement_perturbation_is_causal():
     base = run(default_scenario(noise_std=0.0))
-    bumped = run(default_scenario(noise_std=0.0), noise_source=lambda k: 1.0 if k == 100 else 0.0)
+    bump = np.zeros(default_scenario().num_ticks)
+    bump[100] = 1.0
+    bumped = run(default_scenario(noise_std=0.0), noise_source=bump)
     assert same_columns(bumped, base, slice(100))
     # the bump enters the measurement at tick 100 but cannot touch the
     # true state until the following step
@@ -169,8 +172,15 @@ def test_records_carry_the_tick_grid():
 
 
 def test_non_finite_measurement_aborts_with_tick():
+    noise = np.zeros(default_scenario().num_ticks)
+    noise[3] = float("nan")
     with pytest.raises(SimulationError, match="tick 3"):
-        run(default_scenario(noise_std=0.0), noise_source=lambda k: float("nan") if k == 3 else 0.0)
+        run(default_scenario(noise_std=0.0), noise_source=noise)
+
+
+def test_noise_source_of_the_wrong_length_is_rejected():
+    with pytest.raises(ValueError, match=r"noise_source has 2879 values, the run has 2880 ticks"):
+        run(default_scenario(), noise_source=np.zeros(2879))
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +315,13 @@ def test_metrics_saturation_fraction():
 def test_metrics_need_two_records():
     with pytest.raises(ValueError, match="two"):
         compute_metrics(synthetic_records([0.0]))
+
+
+def test_metrics_that_overflow_are_named_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationError, match="rmse"):
+            compute_metrics(synthetic_records([0.0] * 10, e=1e300))
 
 
 def test_metrics_as_dict_round_trip():

@@ -7,9 +7,11 @@ The generator is counter based: every draw is a pure function of
 import math
 import statistics
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from heatloop.noise import gaussian, splitmix64, uniform
+from heatloop.noise import _uniform_column, gaussian, gaussian_column, splitmix64, uniform
 
 
 # Reference outputs for the seed-0 stream, indices 0..2.  These are the
@@ -110,3 +112,28 @@ def test_seed_separation():
     assert matches == 0
     corr = statistics.correlation(a, b)
     assert abs(corr) < 0.1
+
+
+# ---------------------------------------------------------------------------
+# the column form, checked draw for draw against the scalar stream
+
+
+@pytest.mark.parametrize("seed", [63, 64, 7, 0, 2**63 - 1, 12345678901234567])
+def test_uniform_column_matches_scalar(seed):
+    assert _uniform_column(seed, 200).tolist() == [uniform(seed, j) for j in range(200)]
+
+
+def test_gaussian_column_matches_scalar_on_a_full_run():
+    assert gaussian_column(63, 2880).tolist() == [gaussian(63, k) for k in range(2880)]
+
+
+@settings(deadline=None)
+@given(st.integers(-(2**80), 2**80), st.integers(0, 300))
+@example(-1, 0)
+@example(-(2**63), 1)
+@example(2**64, 1)
+@example(2**64 + 63, 50)
+def test_gaussian_column_matches_scalar(seed, n):
+    col = gaussian_column(seed, n)
+    assert col.dtype == np.float64 and col.shape == (n,)
+    assert col.tolist() == [gaussian(seed, k) for k in range(n)]

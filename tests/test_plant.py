@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from pytest import approx
 
 from heatloop.plant import (
@@ -14,6 +15,7 @@ from heatloop.plant import (
     equilibrium,
     exact_step,
     propagator,
+    rk4_stepper,
     step_rk4,
     system_matrices,
     wall_equilibrium,
@@ -282,3 +284,30 @@ def test_nominal_eigenvalues_frozen():
     lam_fast, lam_slow = 0.5 * (tr - s), 0.5 * (tr + s)
     assert lam_fast == approx(-1.6493e-3, rel=1e-3)
     assert lam_slow == approx(-1.8475e-5, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# the engine's stepper, checked against step_rk4 bit for bit
+
+# log-uniform, so that the coefficient quotients span many magnitudes;
+# with uniform draws a reordered division hardly ever shows in the result
+positive = st.floats(-7.0, 11.5).map(math.exp)
+temperature = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def plant_params(draw):
+    return ThermalParams(c_a=draw(positive), c_w=draw(positive), k_c=draw(positive), k_f=draw(positive),
+                         k_ext=draw(positive), wall_denominator_cw=draw(st.booleans()))
+
+
+@settings(deadline=None, max_examples=500)
+@given(plant_params(), st.floats(-7.0, 9.0).map(math.exp), temperature, temperature, st.floats(-1e5, 1e5), temperature)
+def test_rk4_stepper_matches_step_rk4(params, dt, t_int, t_wall, q, t_ext):
+    want = step_rk4(ThermalState(t_int, t_wall), q, t_ext, dt, params)
+    assert rk4_stepper(params, dt)(t_int, t_wall, q, t_ext) == (want.t_int, want.t_wall)
+
+
+def test_rk4_stepper_rejects_bad_dt():
+    with pytest.raises(ValueError):
+        rk4_stepper(NOMINAL, 0.0)

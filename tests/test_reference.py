@@ -1,13 +1,17 @@
 """Setpoint schedules and the three reference generators."""
 
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 from pytest import approx
 
 from heatloop.reference import (
     REFERENCE_GENERATORS,
     Schedule,
+    fill_reference,
     ramp_reference,
     smooth_reference,
     step_reference,
@@ -147,3 +151,56 @@ def test_no_transition_for_repeated_setpoint():
 
 def test_generator_registry():
     assert set(REFERENCE_GENERATORS) == {"step", "smooth", "ramp"}
+
+
+# ---------------------------------------------------------------------------
+# the column form, checked tick for tick against the scalar generators
+
+
+@st.composite
+def schedules_on_a_grid(draw):
+    """(schedule, dt, n): starts on and off the tick grid, the first one
+    at or before t = 0, setpoints that may repeat."""
+    dt = draw(st.floats(0.5, 900.0))
+    d = draw(st.floats(1.0, 5000.0))
+
+    def on_or_off_grid(lo, hi):
+        return draw(st.floats(lo, hi) | st.integers(math.ceil(lo / dt), math.floor(hi / dt)).map(lambda m: m * dt))
+
+    start = -on_or_off_grid(0.0, 20000.0)
+    segments = []
+    for _ in range(draw(st.integers(1, 6))):
+        segments.append((start, draw(st.sampled_from([16.0, 19.0]) | st.floats(-50.0, 50.0))))
+        start += on_or_off_grid(d * (1.0 + 1e-9) + 1e-9, d + 30000.0)
+    try:
+        sched = Schedule(segments=tuple(segments), transition_duration=d)
+    except ValueError:
+        assume(False)
+    return sched, dt, draw(st.integers(0, 400))
+
+
+# Window edges where start + d and tau = t - start round to opposite
+# sides: start + d rounds below tick 208 (t = 20.8) although its tau is
+# below d, so the tick is inside the window; start + d rounds above tick
+# 468 (t = 23.4) although its tau reaches d, so that tick is outside.
+EDGE_ROUNDED_DOWN = (Schedule(((0.0, 16.0), (15.09941811313136, 19.0)), 5.700581886868641), 0.1, 300)
+EDGE_ROUNDED_UP = (Schedule(((-200.0, 16.0), (-60.39200385961945, 19.0)), 83.79200385961946), 0.05, 500)
+
+
+@settings(deadline=None)
+@given(schedules_on_a_grid(), st.sampled_from(sorted(REFERENCE_GENERATORS)))
+@example(EDGE_ROUNDED_DOWN, "smooth")
+@example(EDGE_ROUNDED_UP, "ramp")
+def test_fill_reference_matches_scalar_generator(case, mode):
+    sched, dt, n = case
+    t = np.arange(n) * dt
+    y_star, y_star_dot = np.full(n, np.nan), np.full(n, np.nan)
+    fill_reference(sched, mode, t, y_star, y_star_dot)
+    want = [REFERENCE_GENERATORS[mode](sched, t_k) for t_k in t.tolist()]
+    assert list(zip(y_star.tolist(), y_star_dot.tolist())) == want
+
+
+def test_fill_reference_rejects_times_before_the_schedule():
+    sched = Schedule(segments=((100.0, 16.0),), transition_duration=10.0)
+    with pytest.raises(ValueError, match="precedes"):
+        fill_reference(sched, "smooth", np.array([0.0, 60.0]), np.empty(2), np.empty(2))
