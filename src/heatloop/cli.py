@@ -18,6 +18,8 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .config import ConfigError, load_scenario
 from .controllers import CONTROLLERS, HEATING_AND_COOLING, HEATING_ONLY, ActuatorMode, default_controller
 from .engine import (
@@ -41,12 +43,15 @@ def _g9(value: float) -> str:
 
 def write_timeseries_csv(path: str, trace: Trace) -> None:
     """One column per Trace field, in order: 9 significant digits, LF line
-    ends, f_estim blank for controllers without an ultra-local estimate."""
-    columns = [[""] * len(trace.t) if col is None else [_g9(v) for v in col.tolist()] for col in trace]
+    ends, f_estim blank for controllers without an ultra-local estimate.
+
+    The whole body is one %-template applied to the row-major values;
+    "%.9g" % v is the same text as format(v, ".9g") for every float."""
+    columns = [col for col in trace if col is not None]
+    row = ",".join(["%.9g"] * len(columns)) + ("," if trace.f_estim is None else "") + "\n"
+    body = (row * len(trace.t)) % tuple(np.column_stack(columns).ravel().tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(Trace._fields) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(Trace._fields) + "\n" + body)
 
 
 def write_metrics_txt(path: str, metrics: Metrics) -> None:

@@ -161,6 +161,9 @@ class Scenario:
         n = self.num_ticks
         if n < 1 or abs(n * self.dt - self.horizon) > 1e-6 * self.dt:
             raise ValueError(f"dt={self.dt!r} does not divide horizon={self.horizon!r}")
+        if n < 2:
+            # metrics and plots need the tick length, which one tick does not give
+            raise ValueError(f"horizon={self.horizon!r} / dt={self.dt!r} gives {n} tick, a run needs at least 2")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
             raise ValueError(f"noise_std must be nonnegative, got {self.noise_std!r}")
         if isinstance(self.t_ext, SinusoidTExt):

@@ -2,9 +2,16 @@
 
 No plotting dependency: the CLI only needs a quick two-panel view
 (temperatures on top, heat below), so the file is emitted directly.
+Coordinates are computed a whole column at a time and each polyline is
+formatted by one %-template, with the same arithmetic and text as a
+per-point f"{x:.1f},{y:.1f}" loop.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 from .engine import Trace
 
@@ -16,10 +23,16 @@ _MARGIN_T = 40
 _GAP = 50
 
 
-def _bounds(values: list[float]) -> tuple[float, float]:
-    lo, hi = min(values), max(values)
+def _widen(lo: float, hi: float) -> tuple[float, float]:
+    """Stretch a degenerate axis range by 1 either way, or by one ulp
+    where the values are too large for 1 to register."""
+    return min(lo - 1.0, math.nextafter(lo, -math.inf)), max(hi + 1.0, math.nextafter(hi, math.inf))
+
+
+def _bounds(values: np.ndarray) -> tuple[float, float]:
+    lo, hi = float(values.min()), float(values.max())
     if hi - lo < 1e-12:
-        lo, hi = lo - 1.0, hi + 1.0
+        lo, hi = _widen(lo, hi)
     pad = 0.05 * (hi - lo)
     return lo - pad, hi + pad
 
@@ -30,14 +43,18 @@ class _Panel:
         self.t0, self.t1 = t0, t1
         self.lo, self.hi = lo, hi
 
-    def x(self, t: float) -> float:
+    # x and y take a float or a float64 array: elementwise numpy
+    # arithmetic rounds exactly as Python's float arithmetic does
+    def x(self, t):
         return _MARGIN_L + (t - self.t0) / (self.t1 - self.t0) * (_WIDTH - _MARGIN_L - _MARGIN_R)
 
-    def y(self, v: float) -> float:
+    def y(self, v):
         return self.top + (self.hi - v) / (self.hi - self.lo) * _PANEL_H
 
-    def polyline(self, ts: list[float], vs: list[float], color: str, dash: str = "") -> str:
-        pts = " ".join(f"{self.x(t):.1f},{self.y(v):.1f}" for t, v in zip(ts, vs))
+    def polyline(self, ts: np.ndarray, vs: np.ndarray, color: str, dash: str = "") -> str:
+        with np.errstate(all="ignore"):    # float arithmetic overflows to inf/nan quietly
+            xy = np.column_stack((self.x(ts), self.y(vs))).ravel().tolist()
+        pts = " ".join(["%.1f,%.1f"] * len(ts)) % tuple(xy)
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         return f'<polyline fill="none" stroke="{color}" stroke-width="1.2"{dash_attr} points="{pts}"/>'
 
@@ -57,14 +74,16 @@ def render_svg(trace: Trace, title: str = "") -> str:
     """Two stacked panels: reference and indoor temperature, then applied heat."""
     if not len(trace.t):
         raise ValueError("nothing to plot")
-    hours = (trace.t / 3600.0).tolist()
-    t_int, y_star, t_ext, q = (c.tolist() for c in (trace.t_int_true, trace.y_star, trace.t_ext, trace.q_applied))
+    hours = trace.t / 3600.0
+    t_int, y_star, t_ext, q = trace.t_int_true, trace.y_star, trace.t_ext, trace.q_applied
+    h0, h1 = float(hours[0]), float(hours[-1])
+    t0, t1 = _widen(h0, h1) if h1 == h0 else (h0, h1)    # t / 3600 underflowed to one value
 
     height = _MARGIN_T + 2 * _PANEL_H + _GAP + 40
-    lo1, hi1 = _bounds(t_int + y_star + t_ext)
+    lo1, hi1 = _bounds(np.concatenate((t_int, y_star, t_ext)))
     lo2, hi2 = _bounds(q)
-    top_panel = _Panel(_MARGIN_T, hours[0], hours[-1], lo1, hi1)
-    bot_panel = _Panel(_MARGIN_T + _PANEL_H + _GAP, hours[0], hours[-1], lo2, hi2)
+    top_panel = _Panel(_MARGIN_T, t0, t1, lo1, hi1)
+    bot_panel = _Panel(_MARGIN_T + _PANEL_H + _GAP, t0, t1, lo2, hi2)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{height}" '
@@ -83,12 +102,14 @@ def render_svg(trace: Trace, title: str = "") -> str:
     parts += bot_panel.frame("heat (W)")
     parts.append(bot_panel.polyline(hours, q, "#2ca02c"))
     x_axis_y = bot_panel.top + _PANEL_H + 18
-    parts.append(f'<text x="{_MARGIN_L}" y="{x_axis_y}" font-size="11">{hours[0]:.3g} h</text>')
-    parts.append(f'<text x="{_WIDTH - _MARGIN_R}" y="{x_axis_y}" text-anchor="end" font-size="11">{hours[-1]:.3g} h</text>')
+    parts.append(f'<text x="{_MARGIN_L}" y="{x_axis_y}" font-size="11">{h0:.3g} h</text>')
+    parts.append(f'<text x="{_WIDTH - _MARGIN_R}" y="{x_axis_y}" text-anchor="end" font-size="11">{h1:.3g} h</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
 def write_svg(path: str, trace: Trace, title: str = "") -> None:
+    # render before opening, so a plot that cannot be drawn leaves no file
+    text = render_svg(trace, title)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_svg(trace, title))
+        fh.write(text)

@@ -245,6 +245,7 @@ def test_missing_config_exits_2(tmp_path, capsys):
         ("controller.alpha = 0\n", "alpha"),
         ("controller.window_len = 1000000000000000000000000000000\n", "window_len"),
         ("t_ext.period = 1e-320\n", "t_ext.period"),
+        ("horizon = 60\n", "horizon=60.0 / dt=60.0"),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, text, key):
@@ -290,28 +291,50 @@ def test_diverging_run_exits_3(tmp_path, capsys):
     assert "tick" in err
 
 
+EXTREME_INPUTS = {
+    "tiny_dt": ("dt = 1e-300\nhorizon = 1e-299\n", 0, None),
+    "subnormal_dt": ("dt = 1e-310\nhorizon = 1e-309\n", 3, "tick"),
+    "zero_period": ("t_ext.kind = sinusoid\nt_ext.period = 0.0\n", 2, "t_ext"),
+    "tick_count_overflow": ("horizon = 1e308\ndt = 1e-10\n", 2, "horizon"),
+    # 80 PB of trace: beyond any address space, so no overcommit hides it
+    "unallocatable_trace": ("horizon = 1e15\ndt = 1.0\n", 2, "horizon=1000000000000000.0 / dt=1.0 gives 1000000000000000 ticks"),
+    "metric_overflow": ("initial.t_int = 1e300\n", 3, "rmse"),
+    # t / 3600 underflows to 0 on both ticks: the plot's time axis collapses
+    "collapsed_time_axis": ("dt = 5e-324\nhorizon = 1e-323\n", 0, None),
+    # a flat line at 1e20 K: widening the value axis by 1 K does not register
+    "flat_huge_values": (
+        "horizon = 3600\nschedule.segments = 0:1e20\nt_ext.kind = constant\nt_ext.value = 1e20\n"
+        "initial.t_int = 1e20\ninitial.t_wall = 1e20\nnoise_std = 0\n",
+        0,
+        None,
+    ),
+    "one_tick": ("horizon = 60\n", 2, "horizon=60.0 / dt=60.0 gives 1 tick"),
+}
+
+# the plain run keeps the bare case ids
+EXTREME_COMMANDS = {"": ["run"], "run_plot": ["run", "--plot"], "compare_plot": ["compare", "--plot"]}
+
+
 @pytest.mark.parametrize(
-    "text, code, named",
+    "command, text, code, named",
     [
-        ("dt = 1e-300\nhorizon = 1e-299\n", 0, None),
-        ("dt = 1e-310\nhorizon = 1e-309\n", 3, "tick"),
-        ("t_ext.kind = sinusoid\nt_ext.period = 0.0\n", 2, "t_ext"),
-        ("horizon = 1e308\ndt = 1e-10\n", 2, "horizon"),
-        # 80 PB of trace: beyond any address space, so no overcommit hides it
-        ("horizon = 1e15\ndt = 1.0\n", 2, "horizon=1000000000000000.0 / dt=1.0 gives 1000000000000000 ticks"),
-        ("initial.t_int = 1e300\n", 3, "rmse"),
+        pytest.param(command, *case, id="-".join(filter(None, (case_id, command_id))))
+        for command_id, command in EXTREME_COMMANDS.items()
+        for case_id, case in EXTREME_INPUTS.items()
     ],
-    ids=["tiny_dt", "subnormal_dt", "zero_period", "tick_count_overflow", "unallocatable_trace", "metric_overflow"],
 )
-def test_extreme_inputs_exit_cleanly(tmp_path, run_python, text, code, named):
+def test_extreme_inputs_exit_cleanly(tmp_path, run_python, command, text, code, named):
     cfg = tmp_path / "extreme.cfg"
     cfg.write_text(text, encoding="utf-8")
-    proc = run_python("-m", "heatloop.cli", "run", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    out = tmp_path / "o"
+    proc = run_python("-m", "heatloop.cli", *command, "--config", str(cfg), "--out", str(out))
     assert "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
     assert proc.returncode == code
     if named:
         assert named in proc.stderr
+    # a plot that cannot be drawn leaves no file behind
+    assert [p.name for p in out.glob("*.svg") if p.stat().st_size == 0] == []
 
 
 def test_module_entry_point_help(run_python):

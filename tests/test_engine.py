@@ -110,6 +110,7 @@ def test_default_scenario_is_valid():
         ({"reference_mode": "cubic"}, "reference_mode"),
         ({"initial": ThermalState(float("nan"), 14.0)}, "initial"),
         ({"rng_seed": 1.5}, "rng_seed"),
+        ({"horizon": 60.0}, "at least 2"),
     ],
 )
 def test_scenario_validation_rejects(replacements, match):
