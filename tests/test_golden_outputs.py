@@ -1,5 +1,6 @@
 """Golden outputs: the sha256 of every file that ``compare --plot`` and
-``sweep`` write on the empty config, for three seeds.
+``sweep`` write on the empty config, for three seeds, and of the files
+that ``run`` and ``sweep`` write with override flags.
 
 A change that is meant to keep the output files as they are (a faster
 writer, a refactored engine) must keep these hashes.  A deliberate
@@ -75,3 +76,37 @@ def test_output_files_match_golden_hashes(tmp_path, command, seed):
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     expected = {name: h for (c, s, name), h in GOLDEN.items() if (c, s) == (command, seed)}
     assert written == expected
+
+
+# CLI flags on top of a config: each flag means its config key, and a
+# --controller flag starts the controller from that kind's defaults, so
+# the pi gains of LIGHT_PI_CFG do not reach the flat_p sweep
+LIGHT_PI_CFG = "plant.c_a = 700.0\ncontroller.kind = pi\ncontroller.k_p = -0.3\n"
+
+FLAG_CASES = {
+    "run_flat_pi_step_heat": ("", ["run", "--plot", "--controller", "flat_pi", "--reference", "step",
+                                   "--actuator", "heat", "--seed", "7"]),
+    "run_ramp_heat_cool": ("", ["run", "--plot", "--reference", "ramp", "--actuator", "heat_cool"]),
+    "sweep_flat_p_on_pi_config": (LIGHT_PI_CFG, ["sweep", "--controller", "flat_p", "--seed", "5"]),
+}
+
+FLAG_GOLDEN = {
+    ("run_flat_pi_step_heat", "metrics.txt"): "dbab74aaf3f8fb3f01459eb9e3b329688349e6e57b3ec57a31cae4149e616411",
+    ("run_flat_pi_step_heat", "plot.svg"): "79096256a3b0650dc6474b47a200c90a9e3c7c94b93dfd752877bdb2410a237f",
+    ("run_flat_pi_step_heat", "timeseries.csv"): "615205d238aca564ee12c4cd9ac520414b0e56e155ca4c025a94199115220a50",
+    ("run_ramp_heat_cool", "metrics.txt"): "ecde128f126e32d51244a1d939b046eaa6ae464aa081b0da756a551d9c0067ed",
+    ("run_ramp_heat_cool", "plot.svg"): "b47ec117b2937cb69ca417c45b39a43c38a7979c9ab7d1827febf215bf3209b5",
+    ("run_ramp_heat_cool", "timeseries.csv"): "d6a5d7c5b255481304b8df3370796232a946a8f17ce228fb086e783d1525e2fe",
+    ("sweep_flat_p_on_pi_config", "sweep.csv"): "6e5f89d968cb1a2a743801b14cb6a04f65903f1d3f1116d638c0c4cb1c81fa55",
+}
+
+
+@pytest.mark.parametrize("case", list(FLAG_CASES))
+def test_flag_outputs_match_golden_hashes(tmp_path, case):
+    text, (command, *flags) = FLAG_CASES[case]
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == {name: h for (c, name), h in FLAG_GOLDEN.items() if c == case}
