@@ -16,12 +16,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, load_scenario
-from .controllers import CONTROLLERS, HEATING_AND_COOLING, HEATING_ONLY, ActuatorMode, default_controller
+from .config import CHOICES, ConfigError, apply_entries, load_scenario
+from .controllers import CONTROLLERS
 from .engine import (
     DEFAULT_SWEEP_FACTORS,
     Metrics,
@@ -34,7 +33,8 @@ from .engine import (
 )
 from .svgplot import write_svg
 
-_ACTUATOR_FLAG = {"heat": HEATING_ONLY, "heat_cool": HEATING_AND_COOLING}
+# each override flag and the config key it sets
+_FLAG_KEYS = {"controller": "controller.kind", "reference": "reference.mode", "actuator": "actuator.mode", "seed": "seed"}
 
 
 def _g9(value: float) -> str:
@@ -60,21 +60,23 @@ def write_metrics_txt(path: str, metrics: Metrics) -> None:
             fh.write(f"{name} = {_g9(value)}\n")
 
 
+# the standard seven-run comparison, each run as the config entries it sets
+_SMOOTH_COOL = {"reference.mode": "smooth", "actuator.mode": "heat_cool"}
+_COMPARISON = {
+    "ip_heat": {"controller.kind": "ip", "reference.mode": "smooth", "actuator.mode": "heat"},
+    "ip_heat_cool": {"controller.kind": "ip", **_SMOOTH_COOL},
+    "pi_step": {"controller.kind": "pi", "reference.mode": "step", "actuator.mode": "heat_cool"},
+    "pi_smooth": {"controller.kind": "pi", **_SMOOTH_COOL},
+    "flat_p": {"controller.kind": "flat_p", **_SMOOTH_COOL},
+    "flat_pi_fast": {"controller.kind": "flat_pi", **_SMOOTH_COOL},
+    "flat_pi_slow": {"controller.kind": "flat_pi", "controller.double_pole": "-0.001", **_SMOOTH_COOL},
+}
+
+
 def comparison_scenarios(base: Scenario) -> list[tuple[str, Scenario]]:
-    """The standard seven-run comparison, all sharing the base scenario's
-    plant, schedule, outdoor profile, noise and seed."""
-    heat = ActuatorMode(mode=HEATING_ONLY, q_max=base.actuator.q_max)
-    cool = ActuatorMode(mode=HEATING_AND_COOLING, q_max=base.actuator.q_max)
-    c = {kind: default_controller(kind, base.plant) for kind in CONTROLLERS}
-    return [
-        ("ip_heat", replace(base, controller=c["ip"], reference_mode="smooth", actuator=heat)),
-        ("ip_heat_cool", replace(base, controller=c["ip"], reference_mode="smooth", actuator=cool)),
-        ("pi_step", replace(base, controller=c["pi"], reference_mode="step", actuator=cool)),
-        ("pi_smooth", replace(base, controller=c["pi"], reference_mode="smooth", actuator=cool)),
-        ("flat_p", replace(base, controller=c["flat_p"], reference_mode="smooth", actuator=cool)),
-        ("flat_pi_fast", replace(base, controller=c["flat_pi"], reference_mode="smooth", actuator=cool)),
-        ("flat_pi_slow", replace(base, controller=replace(c["flat_pi"], double_pole=-0.001), reference_mode="smooth", actuator=cool)),
-    ]
+    """The seven comparison runs, all sharing the base scenario's plant,
+    schedule, outdoor profile, noise and seed."""
+    return [(name, apply_entries(base, entries)) for name, entries in _COMPARISON.items()]
 
 
 def write_comparison_txt(path: str, rows: list[tuple[str, Metrics]]) -> None:
@@ -93,55 +95,46 @@ def _make_out_dir(path: str) -> None:
         raise ConfigError(f"--out {path!r}: cannot create the output directory: {exc.strerror}") from None
 
 
-def _apply_overrides(sc: Scenario, args: argparse.Namespace) -> Scenario:
-    if getattr(args, "controller", None):
-        sc = replace(sc, controller=default_controller(args.controller, sc.plant))
-    if getattr(args, "reference", None):
-        sc = replace(sc, reference_mode=args.reference)
-    if getattr(args, "actuator", None):
-        sc = replace(sc, actuator=ActuatorMode(mode=_ACTUATOR_FLAG[args.actuator], q_max=sc.actuator.q_max))
-    if getattr(args, "seed", None) is not None:
-        sc = replace(sc, rng_seed=args.seed)
-    sc.validate()
-    return sc
+def _scenario(args: argparse.Namespace) -> Scenario:
+    """The --config scenario with each given flag applied as its config entry."""
+    flags = {_FLAG_KEYS[flag]: value for flag, value in vars(args).items() if flag in _FLAG_KEYS and value is not None}
+    return apply_entries(load_scenario(args.config), flags)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    sc = _apply_overrides(load_scenario(args.config), args)
+    sc = _scenario(args)
     _make_out_dir(args.out)
     trace = run(sc)
+    metrics = compute_metrics(trace)    # a run that fails here leaves no files
     write_timeseries_csv(os.path.join(args.out, "timeseries.csv"), trace)
-    write_metrics_txt(os.path.join(args.out, "metrics.txt"), compute_metrics(trace))
+    write_metrics_txt(os.path.join(args.out, "metrics.txt"), metrics)
     if args.plot:
         write_svg(os.path.join(args.out, "plot.svg"), trace, title=f"{sc.controller.kind} / {sc.reference_mode}")
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    base = load_scenario(args.config)
-    if getattr(args, "seed", None) is not None:
-        base = replace(base, rng_seed=args.seed)
+    base = _scenario(args)
     _make_out_dir(args.out)
     rows = []
     for name, sc in comparison_scenarios(base):
         trace = run(sc)
+        rows.append((name, compute_metrics(trace)))
         write_timeseries_csv(os.path.join(args.out, f"{name}.csv"), trace)
         if args.plot:
             write_svg(os.path.join(args.out, f"{name}.svg"), trace, title=name)
-        rows.append((name, compute_metrics(trace)))
     write_comparison_txt(os.path.join(args.out, "comparison.txt"), rows)
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    base = _apply_overrides(load_scenario(args.config), args)
-    kinds = [args.controller] if getattr(args, "controller", None) else list(CONTROLLERS)
+    base = _scenario(args)
+    kinds = [args.controller] if args.controller else list(CONTROLLERS)
     _make_out_dir(args.out)
     with open(os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("controller,factor,rmse,energy,control_variation\n")
         for kind in kinds:
-            sc = replace(base, controller=default_controller(kind, base.plant))
-            for factor, metrics in sweep(sc, DEFAULT_SWEEP_FACTORS):
+            for factor, metrics in sweep(apply_entries(base, {"controller.kind": kind}), DEFAULT_SWEEP_FACTORS):
                 fh.write(",".join((
                     kind,
                     _g9(factor),
@@ -156,14 +149,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="heatloop", description="Room-heating control simulation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, overrides: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, flags=_FLAG_KEYS) -> None:
         p.add_argument("--config", required=True, help="scenario config file (key = value lines)")
         p.add_argument("--out", required=True, help="output directory, created if missing")
-        if overrides:
-            p.add_argument("--controller", choices=CONTROLLERS)
-            p.add_argument("--reference", choices=("step", "smooth", "ramp"))
-            p.add_argument("--actuator", choices=("heat", "heat_cool"))
-        p.add_argument("--seed", type=int)
+        for flag in flags:
+            key = _FLAG_KEYS[flag]
+            p.add_argument(f"--{flag}", choices=CHOICES.get(key), help=f"same as config key {key}")
 
     p_run = sub.add_parser("run", help="simulate one closed-loop run")
     common(p_run)
@@ -171,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run the standard seven-run controller comparison")
-    common(p_cmp, overrides=False)
+    common(p_cmp, flags=["seed"])
     p_cmp.add_argument("--plot", action="store_true", help="also write one SVG per run")
     p_cmp.set_defaults(func=cmd_compare)
 

@@ -14,6 +14,16 @@ blank lines ignored, no sections, no quoting.  Example::
 Every key is optional; missing keys take the default-scenario values.
 Unknown keys are errors.  ``serialize_scenario`` writes floats with
 ``repr`` so that parse(serialize(s)) == s exactly.
+
+Parsing and printing walk the fields of :class:`Scenario` in order.  A
+field's key is its dotted path, and its declared type picks the reader
+and the printer.  Two tables hold what the path cannot tell: ``_KEYS``
+renames a path (``rng_seed`` is ``seed``), and ``CHOICES`` maps the
+accepted text of each text-valued key to its value.  A ``<field>.kind``
+entry starts that field from its kind's defaults: a flat controller
+models the plant, and a ``table`` profile is loaded from ``t_ext.file``.
+The CLI flags are entries too, applied to a loaded scenario by the same
+walk (:func:`apply_entries`).
 """
 
 from __future__ import annotations
@@ -21,6 +31,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import fields, is_dataclass, replace
+from functools import cache
+from typing import get_type_hints
 
 from .controllers import CONTROLLERS, HEATING_AND_COOLING, HEATING_ONLY, default_controller
 from .engine import ConstantTExt, Scenario, SinusoidTExt, TableTExt
@@ -31,83 +43,96 @@ class ConfigError(ValueError):
     """Malformed scenario text or file."""
 
 
-_MISSING = object()
+_KEYS = {"rng_seed": "seed", "reference_mode": "reference.mode"}
 
-_ACTUATOR_ALIASES = {
-    "heat": HEATING_ONLY,
-    "heating_only": HEATING_ONLY,
-    "heat_cool": HEATING_AND_COOLING,
-    "heating_and_cooling": HEATING_AND_COOLING,
+CHOICES = {
+    "reference.mode": {mode: mode for mode in REFERENCE_GENERATORS},
+    "controller.kind": CONTROLLERS,
+    "actuator.mode": {
+        "heat": HEATING_ONLY,
+        "heating_only": HEATING_ONLY,
+        "heat_cool": HEATING_AND_COOLING,
+        "heating_and_cooling": HEATING_AND_COOLING,
+    },
+    "t_ext.kind": {cls.kind: cls for cls in (ConstantTExt, SinusoidTExt, TableTExt)},
 }
 
-_T_EXT_KINDS = {cls.kind: cls for cls in (ConstantTExt, SinusoidTExt)}
+
+def _read_float(key: str, raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"key {key!r}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: value must be finite, got {raw!r}")
+    return value
 
 
-class _Entries:
-    def __init__(self, entries: dict[str, str]):
-        self._entries = entries
+def _read_int(key: str, raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}") from None
 
-    def take(self, key: str, default=_MISSING) -> str:
-        if key in self._entries:
-            return self._entries.pop(key)
-        if default is _MISSING:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
 
-    def take_float(self, key: str, default: float) -> float:
-        raw = self.take(key, None)
-        if raw is None:
-            return default
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"key {key!r}: expected a number, got {raw!r}") from None
-        if not math.isfinite(value):
-            raise ConfigError(f"key {key!r}: value must be finite, got {raw!r}")
-        return value
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
-    def take_int(self, key: str, default: int) -> int:
-        raw = self.take(key, None)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}") from None
 
-    def take_bool(self, key: str, default: bool) -> bool:
-        raw = self.take(key, None)
-        if raw is None:
-            return default
-        if raw.lower() in ("true", "yes", "1"):
-            return True
-        if raw.lower() in ("false", "no", "0"):
-            return False
+def _read_bool(key: str, raw: str) -> bool:
+    if raw.lower() not in _BOOLS:
         raise ConfigError(f"key {key!r}: expected true/false, got {raw!r}")
-
-    def take_choice(self, key: str, choices, default: str) -> str:
-        raw = self.take(key, None)
-        if raw is None:
-            return default
-        if raw not in choices:
-            raise ConfigError(f"key {key!r}: expected one of {sorted(choices)}, got {raw!r}")
-        return raw
-
-    def reject_leftovers(self) -> None:
-        if self._entries:
-            names = ", ".join(repr(k) for k in sorted(self._entries))
-            raise ConfigError(f"unknown key(s): {names}")
+    return _BOOLS[raw.lower()]
 
 
-# parser and printer for each field value type the config walks
-_TAKE = {float: _Entries.take_float, int: _Entries.take_int, bool: _Entries.take_bool}
+def _read_choice(key: str, raw: str):
+    if raw not in CHOICES[key]:
+        raise ConfigError(f"key {key!r}: expected one of {sorted(CHOICES[key])}, got {raw!r}")
+    return CHOICES[key][raw]
+
+
+def _read_segments(key: str, raw: str) -> tuple[tuple[float, float], ...]:
+    segments = []
+    for token in raw.split(","):
+        token = token.strip()
+        if not token:
+            continue
+        start, sep, sp = token.partition(":")
+        if not sep:
+            raise ConfigError(f"{key}: expected 'start:setpoint', got {token!r}")
+        try:
+            segments.append((float(start), float(sp)))
+        except ValueError:
+            raise ConfigError(f"{key}: bad number in {token!r}") from None
+    if not segments:
+        raise ConfigError(f"{key}: no segments given")
+    return tuple(segments)
 
 
 def _show_float(value) -> str:
     return repr(float(value))
 
 
-_SHOW = {float: _show_float, int: str, bool: lambda value: "true" if value else "false"}
+_SEGMENTS = tuple[tuple[float, float], ...]
+
+# reader and printer for each declared field type the walk meets
+_READ = {float: _read_float, int: _read_int, bool: _read_bool, str: _read_choice, _SEGMENTS: _read_segments}
+_SHOW = {
+    float: _show_float,
+    int: str,
+    bool: lambda value: "true" if value else "false",
+    str: str,
+    _SEGMENTS: lambda segments: ", ".join(f"{_show_float(start)}:{_show_float(sp)}" for start, sp in segments),
+}
+
+
+@cache
+def _types(cls) -> dict:
+    return get_type_hints(cls)
+
+
+def _key(prefix: str, name: str) -> str:
+    path = f"{prefix}.{name}" if prefix else name
+    return _KEYS.get(path, path)
 
 
 def _parse_lines(text: str) -> dict[str, str]:
@@ -127,49 +152,11 @@ def _parse_lines(text: str) -> dict[str, str]:
     return entries
 
 
-def _take_fields(ent: _Entries, prefix: str, base, **given):
-    """``base`` with each field replaced by its ``prefix.name`` entry.
-
-    The type of the field's value in ``base`` picks the parser: float,
-    int, bool, or a nested dataclass walked under ``prefix.name``.  Other
-    fields keep their value from ``given`` or ``base``.
-    """
-    changes = dict(given)
-    for f in fields(base):
-        key, default = f"{prefix}.{f.name}", getattr(base, f.name)
-        if is_dataclass(default):
-            changes[f.name] = _take_fields(ent, key, default)
-        elif type(default) in _TAKE:
-            changes[f.name] = _TAKE[type(default)](ent, key, default)
-    try:
-        return replace(base, **changes)
-    except ValueError as exc:
-        raise ConfigError(f"{prefix}: {exc}") from None
-
-
-def _parse_segments(raw: str) -> tuple[tuple[float, float], ...]:
-    segments = []
-    for token in raw.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        start, sep, sp = token.partition(":")
-        if not sep:
-            raise ConfigError(f"schedule.segments: expected 'start:setpoint', got {token!r}")
-        try:
-            segments.append((float(start), float(sp)))
-        except ValueError:
-            raise ConfigError(f"schedule.segments: bad number in {token!r}") from None
-    if not segments:
-        raise ConfigError("schedule.segments: no segments given")
-    return tuple(segments)
-
-
 def _load_t_ext_table(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             rows = [line.strip() for line in fh]
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"t_ext.file: cannot read {path!r}: {exc}") from None
     times: list[float] = []
     temps: list[float] = []
@@ -194,67 +181,59 @@ def _load_t_ext_table(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(times), tuple(temps)
 
 
+def _start(key: str, kind, entries: dict[str, str], base_dir: str, plant):
+    """The defaults a ``key.kind`` entry starts field ``key`` from."""
+    if kind is TableTExt:
+        source = entries.pop(f"{key}.file", None)
+        if source is None:
+            raise ConfigError(f"missing required key {key + '.file'!r}")
+        return TableTExt(*_load_t_ext_table(os.path.join(base_dir, source)), source=source)
+    return default_controller(kind.kind, plant) if key == "controller" else kind()
+
+
+def _walk(entries: dict[str, str], prefix: str, obj, base_dir: str):
+    """``obj`` with each field that has an entry replaced by it, popping
+    the entries it uses."""
+    types, changes = _types(type(obj)), {}
+    for f in fields(obj):
+        key, value = _key(prefix, f.name), getattr(obj, f.name)
+        kind_key = f"{key}.kind"
+        if kind_key in CHOICES and kind_key in entries:
+            kind = _read_choice(kind_key, entries.pop(kind_key))
+            # plant precedes controller in Scenario: a flat controller models the new plant
+            value = _start(key, kind, entries, base_dir, changes.get("plant"))
+        if isinstance(value, TableTExt):
+            pass    # a table is its file, read whole by _start
+        elif is_dataclass(value):
+            value = _walk(entries, key, value, base_dir)
+        elif key in entries:
+            value = _READ[types[f.name]](key, entries.pop(key))
+        changes[f.name] = value
+    try:
+        return replace(obj, **changes)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}: {exc}") from None
+
+
+def apply_entries(sc: Scenario, entries: dict[str, str], base_dir: str = ".") -> Scenario:
+    """``sc`` with each ``key: value`` entry applied as a config line
+    would apply it.  Relative t_ext.file paths are resolved against
+    ``base_dir``."""
+    entries = dict(entries)
+    sc = _walk(entries, "", sc, base_dir)
+    if entries:
+        raise ConfigError(f"unknown key(s): {', '.join(repr(k) for k in sorted(entries))}")
+    try:
+        sc.validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return sc
+
+
 def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
     """Build a Scenario from config text.  Relative t_ext.file paths are
     resolved against ``base_dir``."""
-    ent = _Entries(_parse_lines(text))
-    base = Scenario()
-
-    horizon = ent.take_float("horizon", base.horizon)
-    dt = ent.take_float("dt", base.dt)
-    noise_std = ent.take_float("noise_std", base.noise_std)
-    seed = ent.take_int("seed", base.rng_seed)
-
-    plant = _take_fields(ent, "plant", base.plant)
-    initial = _take_fields(ent, "initial", base.initial)
-
-    raw_segments = ent.take("schedule.segments", None)
-    segments = _parse_segments(raw_segments) if raw_segments is not None else base.schedule.segments
-    schedule = _take_fields(ent, "schedule", base.schedule, segments=segments)
-
-    mode = ent.take_choice("reference.mode", REFERENCE_GENERATORS, base.reference_mode)
-
-    kind = ent.take_choice("controller.kind", CONTROLLERS, base.controller.kind)
-    controller = _take_fields(ent, "controller", default_controller(kind, plant))
-
-    raw_act = ent.take("actuator.mode", None)
-    if raw_act is None:
-        act_mode = base.actuator.mode
-    elif raw_act in _ACTUATOR_ALIASES:
-        act_mode = _ACTUATOR_ALIASES[raw_act]
-    else:
-        raise ConfigError(f"key 'actuator.mode': expected one of {sorted(set(_ACTUATOR_ALIASES))}, got {raw_act!r}")
-    actuator = _take_fields(ent, "actuator", base.actuator, mode=act_mode)
-
-    t_kind = ent.take_choice("t_ext.kind", (*_T_EXT_KINDS, TableTExt.kind), base.t_ext.kind)
-    if t_kind == TableTExt.kind:
-        rel = ent.take("t_ext.file")
-        path = rel if os.path.isabs(rel) else os.path.join(base_dir, rel)
-        times, temps = _load_t_ext_table(path)
-        t_ext = TableTExt(times=times, temps=temps, source=rel)
-    else:
-        t_ext = _take_fields(ent, "t_ext", _T_EXT_KINDS[t_kind]())
-
-    ent.reject_leftovers()
-
-    scenario = Scenario(
-        horizon=horizon,
-        dt=dt,
-        noise_std=noise_std,
-        rng_seed=seed,
-        plant=plant,
-        initial=initial,
-        schedule=schedule,
-        reference_mode=mode,
-        controller=controller,
-        actuator=actuator,
-        t_ext=t_ext,
-    )
-    try:
-        scenario.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return scenario
+    return apply_entries(Scenario(), _parse_lines(text), base_dir)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -269,47 +248,28 @@ def load_scenario(path: str) -> Scenario:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _field_lines(prefix: str, obj, template) -> list[str]:
-    """``prefix.name = value`` lines for the fields of ``obj``, printed by
-    the type of the field's value in ``template`` like _take_fields."""
-    lines = []
-    for f in fields(template):
-        key, default, value = f"{prefix}.{f.name}", getattr(template, f.name), getattr(obj, f.name)
-        if is_dataclass(default):
-            lines += _field_lines(key, value, default)
-        elif type(default) in _SHOW:
-            lines.append(f"{key} = {_SHOW[type(default)](value)}")
+def _lines(prefix: str, obj) -> list[str]:
+    """``key = value`` lines for the fields of ``obj``, in the walk's order."""
+    types, lines = _types(type(obj)), []
+    for f in fields(obj):
+        key, value = _key(prefix, f.name), getattr(obj, f.name)
+        if f"{key}.kind" in CHOICES:
+            lines.append(f"{key}.kind = {value.kind}")
+        if isinstance(value, TableTExt):
+            if value.source is None:
+                raise ConfigError("cannot serialize a table t_ext profile without a source file")
+            lines.append(f"{key}.file = {value.source}")
+        elif is_dataclass(value):
+            lines += _lines(key, value)
+        else:
+            lines.append(f"{key} = {_SHOW[types[f.name]](value)}")
     return lines
 
 
 def serialize_scenario(sc: Scenario) -> str:
     """Canonical config text; parse_scenario() of the result reproduces
     the scenario exactly."""
-    base, c, t = Scenario(), sc.controller, sc.t_ext
-    segments = ", ".join(f"{_show_float(start)}:{_show_float(sp)}" for start, sp in sc.schedule.segments)
-    lines = [
-        f"horizon = {_show_float(sc.horizon)}",
-        f"dt = {_show_float(sc.dt)}",
-        f"noise_std = {_show_float(sc.noise_std)}",
-        f"seed = {sc.rng_seed}",
-        *_field_lines("plant", sc.plant, base.plant),
-        *_field_lines("initial", sc.initial, base.initial),
-        f"schedule.segments = {segments}",
-        *_field_lines("schedule", sc.schedule, base.schedule),
-        f"reference.mode = {sc.reference_mode}",
-        f"controller.kind = {c.kind}",
-        *_field_lines("controller", c, type(c)()),
-        f"actuator.mode = {sc.actuator.mode}",
-        *_field_lines("actuator", sc.actuator, base.actuator),
-        f"t_ext.kind = {t.kind}",
-    ]
-    if isinstance(t, TableTExt):
-        if t.source is None:
-            raise ConfigError("cannot serialize a table t_ext profile without a source file")
-        lines.append(f"t_ext.file = {t.source}")
-    else:
-        lines += _field_lines("t_ext", t, type(t)())
-    return "\n".join(lines) + "\n"
+    return "\n".join(_lines("", sc)) + "\n"
 
 
 def save_scenario(sc: Scenario, path: str) -> None:

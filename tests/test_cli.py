@@ -126,18 +126,27 @@ def test_run_on_equilibrium_scenario_is_quiet(tmp_path):
     assert metrics["energy"] == 0.0
 
 
-@pytest.mark.parametrize("kind", ["ip", "pi", "flat_p", "flat_pi"])
-def test_controller_flag_matches_config_kind(tmp_path, kind):
-    # the --controller flag and a controller.kind line take the same
-    # defaults, the flat model included
+FLAG_CASES = [
+    *[pytest.param("--controller", kind, "controller.kind", id=kind) for kind in ("ip", "pi", "flat_p", "flat_pi")],
+    *[pytest.param("--reference", mode, "reference.mode", id=f"reference-{mode}") for mode in ("step", "smooth", "ramp")],
+    *[pytest.param("--actuator", name, "actuator.mode", id=f"actuator-{name}")
+      for name in ("heat", "heating_only", "heat_cool", "heating_and_cooling")],
+    pytest.param("--seed", "7", "seed", id="seed-7"),
+]
+
+
+@pytest.mark.parametrize("flag, value, key", FLAG_CASES)
+def test_controller_flag_matches_config_kind(tmp_path, flag, value, key):
+    # each flag means its config line: the --controller flag and a
+    # controller.kind line take the same defaults, the flat model included
     plant = "plant.c_a = 700.0\n"
-    flag_cfg, kind_cfg = tmp_path / "flag.cfg", tmp_path / "kind.cfg"
+    flag_cfg, line_cfg = tmp_path / "flag.cfg", tmp_path / "line.cfg"
     flag_cfg.write_text(plant, encoding="utf-8")
-    kind_cfg.write_text(plant + f"controller.kind = {kind}\n", encoding="utf-8")
-    out_flag, out_kind = tmp_path / "flag", tmp_path / "kind"
-    assert main(["run", "--config", str(flag_cfg), "--out", str(out_flag), "--controller", kind]) == 0
-    assert main(["run", "--config", str(kind_cfg), "--out", str(out_kind)]) == 0
-    assert (out_flag / "timeseries.csv").read_bytes() == (out_kind / "timeseries.csv").read_bytes()
+    line_cfg.write_text(plant + f"{key} = {value}\n", encoding="utf-8")
+    out_flag, out_line = tmp_path / "flag", tmp_path / "line"
+    assert main(["run", "--config", str(flag_cfg), "--out", str(out_flag), flag, value]) == 0
+    assert main(["run", "--config", str(line_cfg), "--out", str(out_line)]) == 0
+    assert (out_flag / "timeseries.csv").read_bytes() == (out_line / "timeseries.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +344,9 @@ def test_extreme_inputs_exit_cleanly(tmp_path, run_python, command, text, code, 
         assert named in proc.stderr
     # a plot that cannot be drawn leaves no file behind
     assert [p.name for p in out.glob("*.svg") if p.stat().st_size == 0] == []
+    if code == 3:
+        # the failing run is the first one, and it fails before it writes any file
+        assert [p.name for p in out.glob("*")] == []
 
 
 def test_module_entry_point_help(run_python):

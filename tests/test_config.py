@@ -6,11 +6,15 @@ ConfigError with the offending key or line in the message.
 """
 
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heatloop.config import ConfigError, load_scenario, parse_scenario, save_scenario, serialize_scenario
+from heatloop.config import CHOICES, ConfigError, load_scenario, parse_scenario, save_scenario, serialize_scenario
 from heatloop.controllers import (
+    CONTROLLERS,
     HEATING_AND_COOLING,
     HEATING_ONLY,
     ActuatorMode,
@@ -18,9 +22,10 @@ from heatloop.controllers import (
     FlatPiController,
     IpController,
     PiController,
+    default_controller,
 )
 from heatloop.engine import ConstantTExt, Scenario, SinusoidTExt, TableTExt, default_scenario
-from heatloop.plant import ThermalParams, ThermalState
+from heatloop.plant import NOMINAL, ThermalParams, ThermalState
 from heatloop.reference import Schedule
 
 
@@ -337,6 +342,11 @@ def test_missing_table_file_reports_path(tmp_path):
         load_scenario(str(cfg))
 
 
+def test_nul_in_table_path_is_a_config_error():
+    with pytest.raises(ConfigError, match="t_ext.file"):
+        parse_scenario("t_ext.kind = table\nt_ext.file = a\0b.csv\n")
+
+
 def test_short_table_file_rejected(tmp_path):
     table = tmp_path / "w.csv"
     table.write_text("0,2.0\n", encoding="utf-8")
@@ -367,3 +377,72 @@ def test_validation_failures_become_config_errors():
         parse_scenario("noise_std = -1\n")
     with pytest.raises(ConfigError, match="horizon"):
         parse_scenario("horizon = -3600\n")
+
+
+# ---------------------------------------------------------------------------
+# every key the printer writes: the README block and the fuzz below use them
+
+_T_EXTS = (ConstantTExt(), SinusoidTExt(), TableTExt(times=(0.0, 1.0), temps=(1.0, 2.0), source="weather.csv"))
+
+# {key: value} as serialize_scenario writes it, for every controller and t_ext kind
+WRITTEN = [
+    dict(line.split(" = ", 1) for line in serialize_scenario(
+        default_scenario(controller=default_controller(kind, NOMINAL), t_ext=t_ext)).splitlines())
+    for kind in CONTROLLERS
+    for t_ext in _T_EXTS
+]
+
+
+def _model_keys_as_one(keys) -> set[str]:
+    return {"controller.model.*" if k.startswith("controller.model.") else k for k in keys}
+
+
+def test_readme_config_block_lists_every_written_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Config format", 1)[1].split("```", 2)[1]
+    documented = {line.partition("=")[0].strip() for line in block.splitlines() if "=" in line}
+    assert _model_keys_as_one(documented) == _model_keys_as_one(key for written in WRITTEN for key in written)
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("table")
+    (path / "weather.csv").write_text("time,temp\n0, 2.0\n3600, 6.0\n", encoding="utf-8")
+    return str(path)
+
+
+# the values each key is written with or accepts as a choice
+_GOOD: dict[str, set[str]] = {"t_ext.file": {"weather.csv", "absent.csv"}, "nonsense": {"1"}}
+for _written in WRITTEN:
+    for _key, _value in _written.items():
+        _GOOD.setdefault(_key, set(CHOICES.get(_key, ()))).add(_value)
+_JUNK = st.one_of(st.floats().map(repr), st.integers(-10**20, 10**20).map(str), st.text(max_size=12))
+
+
+@st.composite
+def config_texts(draw):
+    """Lines over the keys of one controller and t_ext kind, the kind keys
+    first, plus now and then a key of another kind or an unknown one.
+    Most values are the written one or another good one, so that many
+    texts parse; the rest are junk."""
+    written = draw(st.sampled_from(WRITTEN))
+    keys = draw(st.lists(st.sampled_from(sorted(written)), max_size=6, unique=True))
+    if draw(st.integers(0, 3)):
+        keys = ["controller.kind", "t_ext.kind"] + [k for k in keys if k not in ("controller.kind", "t_ext.kind")]
+    keys += [k for k in draw(st.lists(st.sampled_from(sorted(_GOOD)), max_size=2)) if k not in keys]
+    lines = []
+    for key in keys:
+        good = st.sampled_from(sorted(_GOOD[key]))
+        own = st.just(written[key]) if key in written else good
+        lines.append(f"{key} = {draw(st.one_of(own, own, own, good, _JUNK))}\n")
+    return "".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=config_texts())
+def test_any_entries_raise_config_error_or_round_trip(table_dir, text):
+    try:
+        sc = parse_scenario(text, base_dir=table_dir)
+    except ConfigError:
+        return
+    assert parse_scenario(serialize_scenario(sc), base_dir=table_dir) == sc
