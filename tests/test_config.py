@@ -411,11 +411,16 @@ def table_dir(tmp_path_factory):
     return str(path)
 
 
-# the values each key is written with or accepts as a choice
-_GOOD: dict[str, set[str]] = {"t_ext.file": {"weather.csv", "absent.csv"}, "nonsense": {"1"}}
-for _written in WRITTEN:
-    for _key, _value in _written.items():
-        _GOOD.setdefault(_key, set(CHOICES.get(_key, ()))).add(_value)
+def good_values() -> dict[str, list[str]]:
+    """The values each key is written with or accepts as a choice."""
+    good = {"t_ext.file": {"weather.csv", "absent.csv"}, "nonsense": {"1"}}
+    for written in WRITTEN:
+        for key, value in written.items():
+            good.setdefault(key, set(CHOICES.get(key, ()))).add(value)
+    return {key: sorted(values) for key, values in good.items()}
+
+
+_GOOD = good_values()
 _JUNK = st.one_of(st.floats().map(repr), st.integers(-10**20, 10**20).map(str), st.text(max_size=12))
 
 
@@ -432,7 +437,7 @@ def config_texts(draw):
     keys += [k for k in draw(st.lists(st.sampled_from(sorted(_GOOD)), max_size=2)) if k not in keys]
     lines = []
     for key in keys:
-        good = st.sampled_from(sorted(_GOOD[key]))
+        good = st.sampled_from(_GOOD[key])
         own = st.just(written[key]) if key in written else good
         lines.append(f"{key} = {draw(st.one_of(own, own, own, good, _JUNK))}\n")
     return "".join(lines)
