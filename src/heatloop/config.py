@@ -16,10 +16,10 @@ Unknown keys are errors.  ``serialize_scenario`` writes floats with
 ``repr`` so that parse(serialize(s)) == s exactly.
 
 Parsing and printing walk the fields of :class:`Scenario` in order.  A
-field's key is its dotted path, and its declared type picks the reader
-and the printer.  Two tables hold what the path cannot tell: ``_KEYS``
-renames a path (``rng_seed`` is ``seed``), and ``CHOICES`` maps the
-accepted text of each text-valued key to its value.  A ``<field>.kind``
+field's key is its dotted path, and the text of its annotation picks
+the reader and the printer.  Two tables hold what the path cannot tell:
+``_KEYS`` renames a path (``rng_seed`` is ``seed``), and ``CHOICES`` maps
+the accepted text of each text-valued key to its value.  A ``<field>.kind``
 entry starts that field from its kind's defaults: a flat controller
 models the plant, and a ``table`` profile is loaded from ``t_ext.file``.
 The CLI flags are entries too, applied to a loaded scenario by the same
@@ -31,8 +31,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import fields, is_dataclass, replace
-from functools import cache
-from typing import get_type_hints
 
 from .controllers import CONTROLLERS, HEATING_AND_COOLING, HEATING_ONLY, default_controller
 from .engine import ConstantTExt, Scenario, SinusoidTExt, TableTExt
@@ -112,22 +110,18 @@ def _show_float(value) -> str:
     return repr(float(value))
 
 
-_SEGMENTS = tuple[tuple[float, float], ...]
+_SEGMENTS = "tuple[tuple[float, float], ...]"
 
-# reader and printer for each declared field type the walk meets
-_READ = {float: _read_float, int: _read_int, bool: _read_bool, str: _read_choice, _SEGMENTS: _read_segments}
+# reader and printer for each field annotation the walk meets; every
+# module defers its annotations, so a field's type is its annotation text
+_READ = {"float": _read_float, "int": _read_int, "bool": _read_bool, "str": _read_choice, _SEGMENTS: _read_segments}
 _SHOW = {
-    float: _show_float,
-    int: str,
-    bool: lambda value: "true" if value else "false",
-    str: str,
+    "float": _show_float,
+    "int": str,
+    "bool": lambda value: "true" if value else "false",
+    "str": str,
     _SEGMENTS: lambda segments: ", ".join(f"{_show_float(start)}:{_show_float(sp)}" for start, sp in segments),
 }
-
-
-@cache
-def _types(cls) -> dict:
-    return get_type_hints(cls)
 
 
 def _key(prefix: str, name: str) -> str:
@@ -194,7 +188,7 @@ def _start(key: str, kind, entries: dict[str, str], base_dir: str, plant):
 def _walk(entries: dict[str, str], prefix: str, obj, base_dir: str):
     """``obj`` with each field that has an entry replaced by it, popping
     the entries it uses."""
-    types, changes = _types(type(obj)), {}
+    changes = {}
     for f in fields(obj):
         key, value = _key(prefix, f.name), getattr(obj, f.name)
         kind_key = f"{key}.kind"
@@ -207,7 +201,7 @@ def _walk(entries: dict[str, str], prefix: str, obj, base_dir: str):
         elif is_dataclass(value):
             value = _walk(entries, key, value, base_dir)
         elif key in entries:
-            value = _READ[types[f.name]](key, entries.pop(key))
+            value = _READ[f.type](key, entries.pop(key))
         changes[f.name] = value
     try:
         return replace(obj, **changes)
@@ -250,7 +244,7 @@ def load_scenario(path: str) -> Scenario:
 
 def _lines(prefix: str, obj) -> list[str]:
     """``key = value`` lines for the fields of ``obj``, in the walk's order."""
-    types, lines = _types(type(obj)), []
+    lines = []
     for f in fields(obj):
         key, value = _key(prefix, f.name), getattr(obj, f.name)
         if f"{key}.kind" in CHOICES:
@@ -262,7 +256,7 @@ def _lines(prefix: str, obj) -> list[str]:
         elif is_dataclass(value):
             lines += _lines(key, value)
         else:
-            lines.append(f"{key} = {_SHOW[types[f.name]](value)}")
+            lines.append(f"{key} = {_SHOW[f.type](value)}")
     return lines
 
 

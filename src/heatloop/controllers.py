@@ -10,7 +10,7 @@ requested closed-loop pole (``flat_p`` with k_i = 0).
 All controllers share the error convention e = y - y_star, so the usual
 gains come out negative (too cold means e < 0 and the heat command must
 rise).  The laws are pure functions; integrator and estimator state
-lives in the engine's per-run loop state.  Each controller default is
+lives in the engine's tick loop.  Each controller default is
 written once, in its dataclass below; :func:`default_controller` hands
 the same defaults to config parsing, the CLI and the sweep.
 """
@@ -122,8 +122,13 @@ def flat_feedforward(y_star: float, y_star_dot: float, params: ThermalParams) ->
     c_a*T' = q - (k_c + k_f)*T (wall and outdoor terms dropped):
 
         q_star = c_a*y_star_dot + (k_c + k_f)*y_star
+
+    Takes floats or whole columns; a column costs one temporary besides
+    the result.
     """
-    return params.c_a * y_star_dot + (params.k_c + params.k_f) * y_star
+    q_star = params.c_a * y_star_dot
+    q_star += (params.k_c + params.k_f) * y_star
+    return q_star
 
 
 def place_flat_p_gain(pole: float, params: ThermalParams) -> float:
@@ -175,8 +180,3 @@ class ActuatorMode:
         """(lowest, highest) heat the actuator applies."""
         return (0.0 if self.mode == HEATING_ONLY else -self.q_max), self.q_max
 
-
-def clamp(q: float, actuator: ActuatorMode) -> float:
-    """Apply the actuator saturation to a commanded heat."""
-    lo, hi = actuator.bounds
-    return min(max(q, lo), hi)

@@ -1,14 +1,18 @@
 """Closed-loop simulation engine.
 
-A run first fills the inputs that depend only on the tick index --
-time, outdoor temperature, reference and measurement noise -- as whole
-columns of its :class:`Trace` buffer.  The tick loop then holds only
-what depends on the state: in order, sample the measured output (true
-plus noise), update estimator/integrator state, compute the heat
-command from the precomputed reference, clamp it, then advance the
-plant one RK4 step with the applied heat and the tick's outdoor
-temperature held constant.  The per-tick log is returned as a
-:class:`Trace` of float64 columns.
+A run first fills every row of its :class:`Trace` buffer that depends
+only on the tick index, as a whole column: time, outdoor temperature,
+reference, measurement noise and, for the feedforward-plus-PI law, the
+feedforward (zero for ``pi``, the flatness feedforward of the model for
+``flat_p`` and ``flat_pi``), kept in the ``f_estim`` row that these
+kinds do not return.  One tick loop then serves both control laws and
+holds only what depends on the state.  Each tick samples the measured
+output (true plus noise), computes the heat command -- iP from the
+least-squares slope over the last ``window_len`` measured values,
+feedforward plus PI otherwise -- clamps it to the actuator bounds,
+integrates the PI error unless the clamp is active, logs the tick and
+advances the plant one RK4 step with the applied heat and the tick's
+outdoor temperature held constant.
 
 Runs are deterministic: the measurement noise comes from the seeded
 counter-mode stream in :mod:`heatloop.noise`, so identical scenarios
@@ -34,7 +38,7 @@ from .controllers import (
     ip_control,
     pi_control,
 )
-from .estimation import SlopeEstimator, estimate_F
+from .estimation import estimate_F, slope_scale
 from .noise import gaussian_column
 from .plant import NOMINAL, ThermalParams, ThermalState, rk4_stepper, wall_equilibrium
 from .reference import REFERENCE_GENERATORS, Schedule, fill_reference
@@ -189,62 +193,6 @@ def default_scenario(**replacements) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# per-run loop state (one small class per control law)
-
-
-class _IpLoop:
-    def __init__(self, cfg: IpController, dt: float):
-        self.cfg = cfg
-        self.est = SlopeEstimator(cfg.window_len, dt)
-        self.u_prev = 0.0
-
-    def command(self, y_meas, y_star, y_star_dot, dt):
-        self.est.push(y_meas)
-        dy_hat = self.est.slope
-        # warm-up: no slope yet
-        f_estim = 0.0 if dy_hat is None else estimate_F(dy_hat, self.u_prev, self.cfg.alpha)
-        e = y_meas - y_star
-        return ip_control(f_estim, y_star_dot, e, self.cfg), f_estim
-
-    def applied(self, q_applied: float, clamped: bool) -> None:
-        self.u_prev = q_applied
-
-
-class _FeedforwardPiLoop:
-    """Flatness feedforward from ``model`` plus a PI corrector.  Plain PI
-    runs it without a model, flat+P with k_i = 0."""
-
-    def __init__(self, gains: PiController, model: ThermalParams | None):
-        self.gains = gains
-        self.model = model
-        self.e_integral = 0.0
-        self._candidate = 0.0
-
-    def command(self, y_meas, y_star, y_star_dot, dt):
-        e = y_meas - y_star
-        self._candidate = self.e_integral + e * dt    # rectangle rule
-        # -0.0 + x == x for every x, sign of zero included, so without a
-        # model the command is exactly the PI output
-        q_ff = -0.0 if self.model is None else flat_feedforward(y_star, y_star_dot, self.model)
-        return q_ff + pi_control(e, self._candidate, self.gains), math.nan    # no estimate: run() logs None
-
-    def applied(self, q_applied: float, clamped: bool) -> None:
-        # conditional integration: the integral freezes while the clamp
-        # is active, which is what keeps windup bounded
-        if not clamped:
-            self.e_integral = self._candidate
-
-
-def _build_loop(sc: Scenario):
-    cfg = sc.controller
-    if isinstance(cfg, IpController):
-        return _IpLoop(cfg, sc.dt)
-    if isinstance(cfg, PiController):
-        return _FeedforwardPiLoop(cfg, None)
-    return _FeedforwardPiLoop(cfg.corrector(), cfg.model)
-
-
-# ---------------------------------------------------------------------------
 # running and measuring
 
 
@@ -266,12 +214,22 @@ class Trace(NamedTuple):
 
 
 def _fill_t_ext(profile: TExtProfile, t: np.ndarray, out: np.ndarray) -> None:
+    """Write ``profile.at`` of every time in ``t`` into ``out``, in place."""
     if isinstance(profile, ConstantTExt):
         out.fill(profile.value)
-        return
-    at, out_view = profile.at, memoryview(out)
-    for k, t_k in enumerate(memoryview(t)):
-        out_view[k] = at(t_k)
+    elif isinstance(profile, SinusoidTExt):
+        # at()'s operations elementwise, in its order; the sine stays on
+        # math per value because numpy's differs in the last bit on some builds
+        np.multiply(t, 2.0 * math.pi, out=out)
+        out /= profile.period
+        out += profile.phase
+        out[:] = np.fromiter(map(math.sin, memoryview(out)), np.float64, len(out))
+        out *= profile.amplitude
+        out += profile.mean
+    else:
+        at, out_view = profile.at, memoryview(out)
+        for k, t_k in enumerate(memoryview(t)):
+            out_view[k] = at(t_k)
 
 
 def run(scenario: Scenario, noise_source: np.ndarray | None = None) -> Trace:
@@ -283,7 +241,7 @@ def run(scenario: Scenario, noise_source: np.ndarray | None = None) -> Trace:
     """
     sc = scenario
     sc.validate()
-    n, dt = sc.num_ticks, sc.dt
+    n, dt, cfg = sc.num_ticks, sc.dt, sc.controller
     if noise_source is not None and len(noise_source) != n:
         raise ValueError(f"noise_source has {len(noise_source)} values, the run has {n} ticks")
     try:
@@ -295,39 +253,75 @@ def run(scenario: Scenario, noise_source: np.ndarray | None = None) -> Trace:
         raise ValueError(f"horizon={sc.horizon!r} / dt={dt!r} gives {n} ticks, too many to hold in memory") from None
 
     # the inputs: every row the loop reads is filled before it starts
-    t, _, noise, _, t_ext, y_star, y_star_dot, _, _, _ = buf
+    t, _, noise, _, t_ext, y_star, y_star_dot, _, _, f_row = buf
+    noise[:] = noise_source
+    del noise_source    # the row holds it now; one column fewer alive while the others fill
     t[:] = np.arange(n)
     t *= dt
     _fill_t_ext(sc.t_ext, t, t_ext)
     fill_reference(sc.schedule, sc.reference_mode, t, y_star, y_star_dot)
-    noise[:] = noise_source
+    # the laws as locals, looked up once per run rather than once per tick
+    ip_law, pi_law, estimate = ip_control, pi_control, estimate_F
+    ip = isinstance(cfg, IpController)
+    if ip:
+        w = cfg.window_len
+        warm, scale, alpha = w - 1, slope_scale(w, dt), cfg.alpha
+        # SlopeEstimator.slope over the measured row: (weight, offset of the
+        # newer sample, offset of the older) per mirror pair, in its order;
+        # a window longer than the run never fills and needs none
+        pairs = [(float(w - 1 - 2 * i), i, w - 1 - i) for i in range(w // 2)] if w <= n else []
+    elif isinstance(cfg, PiController):
+        gains = cfg
+        # -0.0 + x == x for every x, sign of zero included, so without a
+        # model the command is exactly the PI output
+        f_row.fill(-0.0)
+    else:
+        gains = cfg.corrector()
+        f_row[:] = flat_feedforward(y_star, y_star_dot, cfg.model)
 
     # the loop: the control law and the plant state
-    loop = _build_loop(sc)
-    command, applied = loop.command, loop.applied
     step = rk4_stepper(sc.plant, dt)
     q_lo, q_hi = sc.actuator.bounds
     isfinite = math.isfinite
-    # the measured row holds the noise until its tick overwrites it
+    # the measured row holds the noise until its tick overwrites it; the
+    # last row is f_estim for iP and the feedforward for the other laws
     T, Y, M, W, TE, YS, YD, QC, QA, F = (memoryview(row) for row in buf)
     ti, tw = sc.initial.t_int, sc.initial.t_wall
+    u_prev = e_integral = 0.0
     for k in range(n):
         y_meas = ti + M[k]
-        q_command, f_estim = command(y_meas, YS[k], YD[k], dt)
-        q_applied = min(max(q_command, q_lo), q_hi)
-        applied(q_applied, q_applied != q_command)
+        M[k] = y_meas    # the slope window reads the measured row
+        e = y_meas - YS[k]
+        if ip:
+            if k < warm:
+                f_estim = 0.0    # warm-up: no slope yet
+            else:
+                acc = 0.0
+                for c, new, old in pairs:
+                    acc += c * (M[k - new] - M[k - old])
+                f_estim = estimate(scale * acc, u_prev, alpha)
+            F[k] = f_estim
+            q_command = ip_law(f_estim, YD[k], e, cfg)
+        else:
+            candidate = e_integral + e * dt    # rectangle rule
+            q_command = F[k] + pi_law(e, candidate, gains)
+        q_applied = q_lo if q_command < q_lo else (q_hi if q_command > q_hi else q_command)
+        if ip:
+            u_prev = q_applied
+        elif q_applied == q_command:
+            # conditional integration: the integral freezes while the
+            # clamp is active, which is what keeps windup bounded
+            e_integral = candidate
         if not (isfinite(y_meas) and isfinite(q_command)):
             raise SimulationError(f"non-finite controller value at tick {k} (t={T[k]})")
         Y[k] = ti
-        M[k] = y_meas
         W[k] = tw
         QC[k] = q_command
         QA[k] = q_applied
-        F[k] = f_estim
         ti, tw = step(ti, tw, q_applied, TE[k])
         if not (isfinite(ti) and isfinite(tw)):
             raise SimulationError(f"non-finite plant state at tick {k} (t={T[k]})")
-    return Trace(*buf[:-1], buf[-1] if isinstance(loop, _IpLoop) else None)
+    return Trace(*buf[:-1], f_row if ip else None)
 
 
 @dataclass(frozen=True)

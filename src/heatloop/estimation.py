@@ -14,12 +14,22 @@ which keeps the estimate causal).
 The samples sit on the engine's uniform tick grid, so the least-squares
 slope over the last W of them is a fixed FIR filter, the
 first-derivative Savitzky-Golay filter.  Only the measured values are
-kept; the fit never sees a time value.
+kept; the fit never sees a time value.  The engine's tick loop takes the
+same mirror-pair sum straight from its measured column, and the tests
+hold it to :class:`SlopeEstimator` bit for bit.
 """
 
 from __future__ import annotations
 
 from collections import deque
+
+
+def slope_scale(window_len: int, dt: float) -> float:
+    """The factor that turns the mirror-pair sum of a full window,
+    sum_i (W-1-2i) * (y[W-1-i] - y[i]), into its least-squares slope."""
+    # least-squares weights are (j - (W-1)/2) / (dt * W*(W^2-1)/12);
+    # a mirror pair's offset is (W-1-2i)/2, whose 1/2 is folded in here
+    return 6.0 / (dt * (window_len * (window_len * window_len - 1)))
 
 
 class SlopeEstimator:
@@ -30,9 +40,7 @@ class SlopeEstimator:
         # the deque allocates as it fills, and the scale is closed-form,
         # so a huge window costs nothing until samples arrive
         self._ring = deque(maxlen=window_len)
-        # least-squares weights are (j - (W-1)/2) / (dt * W*(W^2-1)/12);
-        # a mirror pair's offset is (W-1-2i)/2, whose 1/2 is folded in here
-        self._scale = 6.0 / (dt * (window_len * (window_len * window_len - 1)))
+        self._scale = slope_scale(window_len, dt)
 
     def push(self, y: float) -> None:
         self._ring.append(y)

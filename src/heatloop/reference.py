@@ -61,10 +61,6 @@ class Schedule:
     def start(self) -> float:
         return self.segments[0][0]
 
-    def setpoint_bounds(self) -> tuple[float, float]:
-        sps = [sp for _, sp in self.segments]
-        return min(sps), max(sps)
-
 
 def _segment_context(sched: Schedule, t: float) -> tuple[float, float, float]:
     """(previous setpoint, active setpoint, time since active segment start)."""

@@ -12,7 +12,6 @@ from heatloop.controllers import (
     ActuatorMode,
     IpController,
     PiController,
-    clamp,
     flat_feedforward,
     ip_control,
     pi_control,
@@ -211,9 +210,17 @@ def test_actuator_validation():
         ActuatorMode(q_max=0.0)
 
 
+def clamp(q, actuator):
+    """The saturation the engine applies: q limited to the actuator's bounds."""
+    lo, hi = actuator.bounds
+    return min(max(q, lo), hi)
+
+
 def test_clamp_examples():
     heat = ActuatorMode(mode=HEATING_ONLY, q_max=2000.0)
     both = ActuatorMode(mode=HEATING_AND_COOLING, q_max=2000.0)
+    assert heat.bounds == (0.0, 2000.0)
+    assert both.bounds == (-2000.0, 2000.0)
     assert clamp(-50.0, heat) == 0.0
     assert clamp(-50.0, both) == -50.0
     assert clamp(5000.0, heat) == 2000.0

@@ -2,13 +2,27 @@
 transition bookkeeping and the robustness sweep."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from heatloop.controllers import FlatPController, PiController, clamp
+from heatloop.controllers import (
+    CONTROLLERS,
+    HEATING_AND_COOLING,
+    HEATING_ONLY,
+    ActuatorMode,
+    FlatPController,
+    IpController,
+    PiController,
+    default_controller,
+    flat_feedforward,
+    ip_control,
+    pi_control,
+)
 from heatloop.engine import (
     DEFAULT_SWEEP_FACTORS,
     ConstantTExt,
@@ -24,8 +38,10 @@ from heatloop.engine import (
     sweep,
     transition_spans,
 )
-from heatloop.plant import NOMINAL, ThermalState, derivatives
-from heatloop.reference import Schedule
+from heatloop.estimation import SlopeEstimator, estimate_F
+from heatloop.noise import gaussian
+from heatloop.plant import NOMINAL, ThermalState, derivatives, step_rk4
+from heatloop.reference import REFERENCE_GENERATORS, Schedule
 
 
 FLAT_SCHEDULE = Schedule(segments=((0.0, 16.0),), transition_duration=3600.0)
@@ -35,6 +51,15 @@ def same_columns(a: Trace, b: Trace, ticks: slice = slice(None)) -> bool:
     """Every column equal over ``ticks``, f_estim both None or equal."""
     return all(
         (x is None and y is None) or (x is not None and y is not None and np.array_equal(x[ticks], y[ticks]))
+        for x, y in zip(a, b)
+    )
+
+
+def same_bits(a: Trace, b: Trace) -> bool:
+    """Every column equal bit for bit (the sign of zero too), f_estim
+    both None or equal."""
+    return all(
+        (x is None and y is None) or (x is not None and y is not None and x.tobytes() == y.tobytes())
         for x, y in zip(a, b)
     )
 
@@ -349,8 +374,9 @@ def test_heating_only_clamp_consistency():
     sc = default_scenario(actuator=ActuatorMode(mode=HEATING_ONLY))
     trace = run(sc)
     assert (trace.q_applied >= 0.0).all()
+    lo, hi = sc.actuator.bounds
     for q_applied, q_command in zip(trace.q_applied.tolist(), trace.q_command.tolist()):
-        assert q_applied == clamp(q_command, sc.actuator)
+        assert q_applied == min(max(q_command, lo), hi)
     m = compute_metrics(trace)
     clipped = int(np.sum(trace.q_command != trace.q_applied))
     assert m.saturation_fraction == pytest.approx(clipped / len(trace.t), abs=1e-12)
@@ -426,3 +452,124 @@ def test_sweep_flat_p_error_shrinks_with_heavier_plant():
     assert all(a > b for a, b in zip(rmses, rmses[1:]))
     assert rmses[0] == pytest.approx(1.9616, abs=2e-3)
     assert rmses[-1] == pytest.approx(1.8480, abs=2e-3)
+
+
+# ---------------------------------------------------------------------------
+# the tick loop against its per-tick oracle
+
+
+def reference_run(sc: Scenario) -> Trace:
+    """The run composed tick by tick from the scalar pieces: the noise
+    draw, ``t_ext.at``, the reference generator, SlopeEstimator with
+    estimate_F and ip_control, or flat_feedforward plus pi_control, the
+    clamp to ActuatorMode.bounds, the integral frozen while the clamp is
+    active, and step_rk4."""
+    cfg, dt = sc.controller, sc.dt
+    ip = isinstance(cfg, IpController)
+    if ip:
+        est, u_prev = SlopeEstimator(cfg.window_len, dt), 0.0
+    else:
+        gains = cfg if isinstance(cfg, PiController) else cfg.corrector()
+        model, e_integral = getattr(cfg, "model", None), 0.0
+    generator = REFERENCE_GENERATORS[sc.reference_mode]
+    lo, hi = sc.actuator.bounds
+    state, rows = sc.initial, []
+    for k in range(sc.num_ticks):
+        t = k * dt
+        t_ext = sc.t_ext.at(t)
+        y_star, y_star_dot = generator(sc.schedule, t)
+        noise = sc.noise_std * gaussian(sc.rng_seed, k) if sc.noise_std > 0.0 else 0.0
+        y_meas = state.t_int + noise
+        e = y_meas - y_star
+        if ip:
+            est.push(y_meas)
+            f_estim = 0.0 if est.slope is None else estimate_F(est.slope, u_prev, cfg.alpha)
+            q_command = ip_control(f_estim, y_star_dot, e, cfg)
+        else:
+            candidate = e_integral + e * dt
+            q_command = pi_control(e, candidate, gains)
+            if model is not None:
+                q_command = flat_feedforward(y_star, y_star_dot, model) + q_command
+            f_estim = None
+        q_applied = min(max(q_command, lo), hi)
+        if ip:
+            u_prev = q_applied
+        elif q_applied == q_command:
+            e_integral = candidate
+        rows.append((t, state.t_int, y_meas, state.t_wall, t_ext, y_star, y_star_dot, q_command, q_applied, f_estim))
+        state = step_rk4(state, q_applied, t_ext, dt, sc.plant)
+    columns = [np.array(column) for column in zip(*rows)]
+    return Trace(*columns[:-1], columns[-1] if ip else None)
+
+
+@st.composite
+def oracle_scenarios(draw):
+    n = draw(st.integers(2, 240))
+    horizon = 60.0 * n
+    # one setpoint change inside the horizon, so the blends are exercised
+    change = 60.0 * draw(st.integers(1, n))
+    schedule = Schedule(segments=((0.0, draw(st.floats(14.0, 18.0))), (change, draw(st.floats(14.0, 22.0)))),
+                        transition_duration=draw(st.floats(60.0, 0.9 * change)) if change > 60.0 else 30.0)
+    t_ext = draw(st.sampled_from(["constant", "sinusoid", "table"]))
+    if t_ext == "constant":
+        t_ext = ConstantTExt(draw(st.floats(-10.0, 20.0)))
+    elif t_ext == "sinusoid":
+        t_ext = SinusoidTExt(draw(st.floats(-5.0, 15.0)), draw(st.floats(0.0, 10.0)),
+                             draw(st.floats(600.0, 2e5)), draw(st.floats(-4.0, 4.0)))
+    else:
+        times = sorted(set(draw(st.lists(st.floats(-1e4, 2e4), min_size=2, max_size=6))))
+        if len(times) < 2:
+            times = [0.0, 1e4]
+        t_ext = TableTExt(tuple(times), tuple(draw(st.floats(-10.0, 20.0)) for _ in times))
+    plant = NOMINAL.scaled(draw(st.sampled_from([0.5, 0.75, 1.0, 1.5, 2.0])))
+    kind = draw(st.sampled_from(sorted(CONTROLLERS)))
+    if kind == "ip":
+        controller = IpController(window_len=draw(st.one_of(st.integers(2, 12), st.just(n + 1))))
+    else:
+        controller = default_controller(kind, NOMINAL)
+    return default_scenario(
+        horizon=horizon,
+        noise_std=draw(st.sampled_from([0.0, 0.05, 0.5])),
+        rng_seed=draw(st.integers(0, 2**64)),
+        plant=plant,
+        schedule=schedule,
+        reference_mode=draw(st.sampled_from(sorted(REFERENCE_GENERATORS))),
+        controller=controller,
+        actuator=ActuatorMode(mode=draw(st.sampled_from([HEATING_ONLY, HEATING_AND_COOLING]))),
+        t_ext=t_ext,
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(oracle_scenarios())
+def test_run_equals_the_per_tick_oracle(sc):
+    assert same_bits(run(sc), reference_run(sc))
+
+
+def test_oracle_covers_the_default_and_equilibrium_scenarios_of_each_kind():
+    # at the equilibrium e is exactly 0, so PI commands -0.0 (k_p < 0):
+    # the sign of zero shows whether the zero feedforward adds nothing
+    for kind in sorted(CONTROLLERS):
+        controller = default_controller(kind, NOMINAL)
+        for sc in (default_scenario(controller=controller), equilibrium_scenario(controller=controller)):
+            assert same_bits(run(sc), reference_run(sc)), (kind, sc.t_ext)
+
+
+# a run holds its ten Trace rows, and filling the inputs keeps at most two
+# more columns alive at once; 280,576 B on the default scenario
+PEAK_BOUND = 12 * 8 * default_scenario().num_ticks + 4096
+
+
+@pytest.mark.parametrize("t_ext", [SinusoidTExt(), ConstantTExt(), TableTExt((0.0, 1e5), (1.0, 9.0))],
+                         ids=lambda profile: profile.kind)
+@pytest.mark.parametrize("kind", sorted(CONTROLLERS))
+def test_run_peak_memory_stays_within_twelve_columns(kind, t_ext):
+    sc = default_scenario(controller=default_controller(kind, NOMINAL), t_ext=t_ext)
+    run(sc)    # first-call setup is not the run's
+    tracemalloc.start()
+    try:
+        run(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_BOUND
