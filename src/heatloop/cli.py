@@ -4,7 +4,8 @@ Three subcommands:
 
 * ``run``     -- one closed-loop run: timeseries.csv, metrics.txt, plot.svg
 * ``compare`` -- the standard seven-run controller comparison
-* ``sweep``   -- plant-parameter robustness sweep, sweep.csv
+* ``sweep``   -- plant-parameter robustness sweep, sweep.csv; its runs
+  share the CPUs this process may use
 
 Exit codes: 0 on success, 2 for configuration or ``--out`` problems
 (the diagnostic names the offending file, key or path), 3 when a run
@@ -29,7 +30,8 @@ from .engine import (
     Trace,
     compute_metrics,
     run,
-    sweep,
+    spread,
+    sweep_point,
 )
 from .svgplot import write_svg
 
@@ -131,17 +133,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base = _scenario(args)
     kinds = [args.controller] if args.controller else list(CONTROLLERS)
     _make_out_dir(args.out)
+    # one scenario per kind, then all kinds x factors in one spread; the
+    # file opens only after every run has passed
+    scenarios = {kind: apply_entries(base, {"controller.kind": kind}) for kind in kinds}
+    points = [(kind, factor) for kind in kinds for factor in DEFAULT_SWEEP_FACTORS]
+    rows = spread(lambda point: sweep_point(scenarios[point[0]], point[1]), points)
     with open(os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("controller,factor,rmse,energy,control_variation\n")
-        for kind in kinds:
-            for factor, metrics in sweep(apply_entries(base, {"controller.kind": kind}), DEFAULT_SWEEP_FACTORS):
-                fh.write(",".join((
-                    kind,
-                    _g9(factor),
-                    _g9(metrics.rmse),
-                    _g9(metrics.energy),
-                    _g9(metrics.control_variation),
-                )) + "\n")
+        for (kind, factor), metrics in zip(points, rows):
+            fh.write(",".join((
+                kind,
+                _g9(factor),
+                _g9(metrics.rmse),
+                _g9(metrics.energy),
+                _g9(metrics.control_variation),
+            )) + "\n")
     return 0
 
 

@@ -16,12 +16,17 @@ outdoor temperature held constant.
 
 Runs are deterministic: the measurement noise comes from the seeded
 counter-mode stream in :mod:`heatloop.noise`, so identical scenarios
-with identical seeds reproduce identical traces bit for bit.
+with identical seeds reproduce identical traces bit for bit.  That is
+what lets :func:`spread` run independent runs, such as the robustness
+sweep's, in forked workers on the CPUs the process may use, and return
+the same results as one after another.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Union
@@ -214,7 +219,8 @@ class Trace(NamedTuple):
 
 
 def _fill_t_ext(profile: TExtProfile, t: np.ndarray, out: np.ndarray) -> None:
-    """Write ``profile.at`` of every time in ``t`` into ``out``, in place."""
+    """Write ``profile.at`` of every time in ``t``, which ascends, into
+    ``out``, in place."""
     if isinstance(profile, ConstantTExt):
         out.fill(profile.value)
     elif isinstance(profile, SinusoidTExt):
@@ -227,9 +233,23 @@ def _fill_t_ext(profile: TExtProfile, t: np.ndarray, out: np.ndarray) -> None:
         out *= profile.amplitude
         out += profile.mean
     else:
-        at, out_view = profile.at, memoryview(out)
-        for k, t_k in enumerate(memoryview(t)):
-            out_view[k] = at(t_k)
+        # at() over each table segment's slice of ticks, which the ascending
+        # grid keeps contiguous: tick k is in segment i when
+        # times[i-1] <= t[k] < times[i], i.e. when bisect_right gives i
+        times, temps = profile.times, profile.temps
+        edges = np.searchsorted(t, times).tolist()    # the first tick at or after each knot
+        out[:edges[0]] = temps[0]
+        out[edges[-1]:] = temps[-1]
+        for i in range(1, len(times)):
+            a, b = edges[i - 1], edges[i]
+            if a < b:
+                w = out[a:b]
+                np.subtract(t[a:b], times[i - 1], out=w)
+                w /= times[i] - times[i - 1]
+                upper = w * temps[i]
+                np.subtract(1.0, w, out=w)
+                w *= temps[i - 1]
+                w += upper
 
 
 def run(scenario: Scenario, noise_source: np.ndarray | None = None) -> Trace:
@@ -377,16 +397,86 @@ def transition_spans(sched: Schedule, window_mult: float = 1.0) -> list[tuple[fl
     return spans
 
 
+def _share(fn, items) -> tuple[list, Exception | None]:
+    """fn of each item in turn, up to the first that raises: (results so
+    far, that exception or None)."""
+    done = []
+    try:
+        for x in items:
+            done.append(fn(x))
+    except Exception as exc:
+        return done, exc
+    return done, None
+
+
+def spread(fn, items) -> list:
+    """``[fn(x) for x in items]``, shared out over the c CPUs this process
+    may use: c - 1 forked children each run ``items[i::c]`` and send
+    their results back through a pipe, and the caller runs
+    ``items[0::c]`` itself.  Children inherit ``fn`` and the items, so
+    only results travel.  The exception of the lowest-index failing item
+    is re-raised, as the plain loop would raise it; no child outlives
+    the call."""
+    items = list(items)
+    c = min(len(items), len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
+    if c < 2:
+        return [fn(x) for x in items]
+    children, shares = [], [None] * c
+    try:
+        for i in range(1, c):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # the child leaves through os._exit only: no atexit handler
+                # runs and no inherited buffer is flushed a second time
+                code = 1
+                try:
+                    os.close(r)
+                    payload = _share(fn, items[i::c])
+                    try:
+                        data = pickle.dumps(payload)
+                    except Exception:
+                        data = pickle.dumps(([], RuntimeError(f"cannot send a worker's result: {payload!r}")))
+                    with open(w, "wb") as fh:
+                        fh.write(data)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((i, pid, r))
+        shares[0] = _share(fn, items[0::c])
+    finally:
+        # every pipe read to its end and every child reaped, whatever happened above
+        for i, pid, r in children:
+            with open(r, "rb") as fh:
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            try:
+                shares[i] = pickle.loads(data)
+            except Exception:
+                shares[i] = ([], RuntimeError(f"worker {pid} ended without a result (wait status {status})"))
+    # (index of the failing item, its exception) per share that failed
+    failed = [(i + c * len(done), exc) for i, (done, exc) in enumerate(shares) if exc is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    results = [None] * len(items)
+    for i, (done, _) in enumerate(shares):
+        results[i::c] = done
+    return results
+
+
 DEFAULT_SWEEP_FACTORS = (0.5, 0.75, 1.0, 1.5, 2.0)
+
+
+def sweep_point(scenario: Scenario, factor: float) -> Metrics:
+    """The metrics of the scenario run on its plant with all five
+    parameters multiplied by ``factor``, the controller left as tuned."""
+    return compute_metrics(run(replace(scenario, plant=scenario.plant.scaled(factor))))
 
 
 def sweep(scenario: Scenario, factors: tuple[float, ...] = DEFAULT_SWEEP_FACTORS) -> list[tuple[float, Metrics]]:
     """Re-run the scenario with all five plant parameters multiplied by
-    each factor.  Controller tuning is deliberately left untouched: the
-    point is to measure how each strategy survives a plant it was not
-    tuned for."""
-    out = []
-    for factor in factors:
-        perturbed = replace(scenario, plant=scenario.plant.scaled(factor))
-        out.append((factor, compute_metrics(run(perturbed))))
-    return out
+    each factor, the runs spread over the CPUs.  Controller tuning is
+    deliberately left untouched: the point is to measure how each
+    strategy survives a plant it was not tuned for."""
+    return list(zip(factors, spread(lambda factor: sweep_point(scenario, factor), factors)))

@@ -4,6 +4,8 @@ Everything goes through main(argv) so the tests cover argument parsing,
 config loading, the run itself and the on-disk output formats.
 """
 
+import os
+
 import pytest
 
 from heatloop.config import save_scenario
@@ -232,6 +234,40 @@ def test_sweep_factor_one_matches_plain_run(tmp_path, default_cfg):
     assert cv == printed["control_variation"]
 
 
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def test_sweep_on_one_cpu_and_on_two_writes_the_same_bytes(tmp_path, monkeypatch, default_cfg):
+    written = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        out = tmp_path / f"cpus{len(cpus)}"
+        assert main(["sweep", "--config", default_cfg, "--out", str(out)]) == 0
+        written.append((out / "sweep.csv").read_bytes())
+        assert no_child_left()
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("text, code", [
+    ("horizon = 7200\n", 0),
+    ("horizon = 1e15\ndt = 1.0\n", 2),
+    ("initial.t_int = 1e300\n", 3),
+], ids=["ok", "unallocatable_trace", "metric_overflow"])
+def test_sweep_leaves_no_child_whatever_its_exit(tmp_path, monkeypatch, capsys, text, code):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    assert no_child_left()
+    if code:
+        assert capsys.readouterr().err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 
@@ -321,7 +357,12 @@ EXTREME_INPUTS = {
 }
 
 # the plain run keeps the bare case ids
-EXTREME_COMMANDS = {"": ["run"], "run_plot": ["run", "--plot"], "compare_plot": ["compare", "--plot"]}
+EXTREME_COMMANDS = {
+    "": ["run"],
+    "run_plot": ["run", "--plot"],
+    "compare_plot": ["compare", "--plot"],
+    "sweep": ["sweep"],
+}
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 transition bookkeeping and the robustness sweep."""
 
 import math
+import os
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -32,9 +33,11 @@ from heatloop.engine import (
     SinusoidTExt,
     TableTExt,
     Trace,
+    _fill_t_ext,
     compute_metrics,
     default_scenario,
     run,
+    spread,
     sweep,
     transition_spans,
 )
@@ -112,6 +115,33 @@ def test_table_profile_validation():
         TableTExt(times=(0.0, 0.0), temps=(1.0, 2.0))
     with pytest.raises(ValueError, match="two"):
         TableTExt(times=(0.0, 1.0), temps=(1.0,))
+
+
+@st.composite
+def tables_and_times(draw):
+    """A table and an ascending grid of times before, inside and after
+    it, on its knots and off them."""
+    value = st.one_of(st.floats(-20.0, 40.0), st.sampled_from([0.0, -0.0]))
+    times = sorted(set(draw(st.lists(st.floats(-1e5, 1e5), min_size=2, max_size=8))))
+    if len(times) < 2:
+        times = [0.0, 3600.0]
+    profile = TableTExt(tuple(times), tuple(draw(value) for _ in times))
+    grid = draw(st.lists(st.one_of(
+        st.sampled_from(times),
+        st.floats(times[0], times[-1]),
+        st.floats(-2e5, times[0]),
+        st.floats(times[-1], 2e5),
+    ), max_size=40))
+    return profile, np.array(sorted(grid))
+
+
+@settings(deadline=None, max_examples=100)
+@given(tables_and_times())
+def test_table_column_equals_at_every_tick(table_and_times):
+    profile, t = table_and_times
+    out = np.empty_like(t)
+    _fill_t_ext(profile, t, out)
+    assert out.tobytes() == np.array([profile.at(x) for x in t.tolist()]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +482,92 @@ def test_sweep_flat_p_error_shrinks_with_heavier_plant():
     assert all(a > b for a, b in zip(rmses, rmses[1:]))
     assert rmses[0] == pytest.approx(1.9616, abs=2e-3)
     assert rmses[-1] == pytest.approx(1.8480, abs=2e-3)
+
+
+# ---------------------------------------------------------------------------
+# spreading independent runs over the CPUs
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The fork path, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 20])
+def test_spread_equals_the_list_comprehension(two_cpus, count):
+    items = [float(i) / 3 for i in range(count)]
+    assert spread(lambda x: (x, x * x), items) == [(x, x * x) for x in items]
+    assert no_child_left()
+
+
+def test_spread_runs_every_other_item_in_a_child(two_cpus):
+    parent = os.getpid()
+    pids = spread(lambda x: os.getpid(), range(5))
+    assert pids[0::2] == [parent] * 3
+    assert len(set(pids[1::2])) == 1 and parent not in pids[1::2]
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("failing, raised", [
+    ({3: ValueError, 4: SimulationError}, (ValueError, "item 3")),       # a child's share fails first
+    ({2: SimulationError, 5: ValueError}, (SimulationError, "item 2")),  # the caller's share fails first
+    ({0: ValueError, 1: SimulationError}, (ValueError, "item 0")),
+])
+def test_spread_reraises_the_lowest_failing_item(two_cpus, failing, raised):
+    def fn(x):
+        if x in failing:
+            raise failing[x](f"item {x}")
+        return x
+
+    with pytest.raises(raised[0], match=f"^{raised[1]}$"):
+        spread(fn, range(8))
+    assert no_child_left()
+
+
+def test_spread_names_a_child_that_ends_without_a_result(two_cpus):
+    parent = os.getpid()
+    with pytest.raises(RuntimeError, match="without a result"):
+        spread(lambda x: x if os.getpid() == parent else os._exit(7), range(4))
+    assert no_child_left()
+
+
+def test_spread_reports_a_result_that_cannot_be_sent(two_cpus):
+    with pytest.raises(RuntimeError, match="cannot send"):
+        spread(lambda x: (lambda: x), range(4))
+    assert no_child_left()
+
+
+def test_spread_on_one_cpu_never_forks(monkeypatch, no_fork):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert spread(lambda x: x + 1, range(20)) == list(range(1, 21))
+
+
+def test_spread_without_affinity_never_forks(monkeypatch, no_fork):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert spread(lambda x: x + 1, range(20)) == list(range(1, 21))
+
+
+def test_sweep_spread_equals_the_plain_runs(two_cpus):
+    sc = default_scenario(horizon=7200.0)
+    assert sweep(sc) == [(f, compute_metrics(run(replace(sc, plant=sc.plant.scaled(f))))) for f in DEFAULT_SWEEP_FACTORS]
+    assert no_child_left()
 
 
 # ---------------------------------------------------------------------------
