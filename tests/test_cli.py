@@ -234,15 +234,7 @@ def test_sweep_factor_one_matches_plain_run(tmp_path, default_cfg):
     assert cv == printed["control_variation"]
 
 
-def no_child_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
-def test_sweep_on_one_cpu_and_on_two_writes_the_same_bytes(tmp_path, monkeypatch, default_cfg):
+def test_sweep_on_one_cpu_and_on_two_writes_the_same_bytes(tmp_path, monkeypatch, default_cfg, no_child_left):
     written = []
     for cpus in ({0}, {0, 1}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
@@ -258,8 +250,7 @@ def test_sweep_on_one_cpu_and_on_two_writes_the_same_bytes(tmp_path, monkeypatch
     ("horizon = 1e15\ndt = 1.0\n", 2),
     ("initial.t_int = 1e300\n", 3),
 ], ids=["ok", "unallocatable_trace", "metric_overflow"])
-def test_sweep_leaves_no_child_whatever_its_exit(tmp_path, monkeypatch, capsys, text, code):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def test_sweep_leaves_no_child_whatever_its_exit(tmp_path, two_cpus, no_child_left, capsys, text, code):
     cfg = tmp_path / "s.cfg"
     cfg.write_text(text, encoding="utf-8")
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code

@@ -488,20 +488,6 @@ def test_sweep_flat_p_error_shrinks_with_heavier_plant():
 # spreading independent runs over the CPUs
 
 
-def no_child_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """The fork path, whatever the host has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
 @pytest.fixture
 def no_fork(monkeypatch):
     def fork():
@@ -511,13 +497,13 @@ def no_fork(monkeypatch):
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 3, 20])
-def test_spread_equals_the_list_comprehension(two_cpus, count):
+def test_spread_equals_the_list_comprehension(two_cpus, count, no_child_left):
     items = [float(i) / 3 for i in range(count)]
     assert spread(lambda x: (x, x * x), items) == [(x, x * x) for x in items]
     assert no_child_left()
 
 
-def test_spread_runs_every_other_item_in_a_child(two_cpus):
+def test_spread_runs_every_other_item_in_a_child(two_cpus, no_child_left):
     parent = os.getpid()
     pids = spread(lambda x: os.getpid(), range(5))
     assert pids[0::2] == [parent] * 3
@@ -530,7 +516,7 @@ def test_spread_runs_every_other_item_in_a_child(two_cpus):
     ({2: SimulationError, 5: ValueError}, (SimulationError, "item 2")),  # the caller's share fails first
     ({0: ValueError, 1: SimulationError}, (ValueError, "item 0")),
 ])
-def test_spread_reraises_the_lowest_failing_item(two_cpus, failing, raised):
+def test_spread_reraises_the_lowest_failing_item(two_cpus, failing, raised, no_child_left):
     def fn(x):
         if x in failing:
             raise failing[x](f"item {x}")
@@ -541,14 +527,14 @@ def test_spread_reraises_the_lowest_failing_item(two_cpus, failing, raised):
     assert no_child_left()
 
 
-def test_spread_names_a_child_that_ends_without_a_result(two_cpus):
+def test_spread_names_a_child_that_ends_without_a_result(two_cpus, no_child_left):
     parent = os.getpid()
     with pytest.raises(RuntimeError, match="without a result"):
         spread(lambda x: x if os.getpid() == parent else os._exit(7), range(4))
     assert no_child_left()
 
 
-def test_spread_reports_a_result_that_cannot_be_sent(two_cpus):
+def test_spread_reports_a_result_that_cannot_be_sent(two_cpus, no_child_left):
     with pytest.raises(RuntimeError, match="cannot send"):
         spread(lambda x: (lambda: x), range(4))
     assert no_child_left()
@@ -564,7 +550,7 @@ def test_spread_without_affinity_never_forks(monkeypatch, no_fork):
     assert spread(lambda x: x + 1, range(20)) == list(range(1, 21))
 
 
-def test_sweep_spread_equals_the_plain_runs(two_cpus):
+def test_sweep_spread_equals_the_plain_runs(two_cpus, no_child_left):
     sc = default_scenario(horizon=7200.0)
     assert sweep(sc) == [(f, compute_metrics(run(replace(sc, plant=sc.plant.scaled(f))))) for f in DEFAULT_SWEEP_FACTORS]
     assert no_child_left()
