@@ -18,8 +18,9 @@ Runs are deterministic: the measurement noise comes from the seeded
 counter-mode stream in :mod:`heatloop.noise`, so identical scenarios
 with identical seeds reproduce identical traces bit for bit.  That is
 what lets :func:`spread` run independent runs, such as the robustness
-sweep's, in forked workers on the CPUs the process may use, and return
-the same results as one after another.
+sweep's, in forked workers on the CPUs the process may use, as a pure
+speed-up: if a worker fails or cannot start, the runs are made one after
+another instead, with the same results or the same error.
 """
 
 from __future__ import annotations
@@ -397,72 +398,58 @@ def transition_spans(sched: Schedule, window_mult: float = 1.0) -> list[tuple[fl
     return spans
 
 
-def _share(fn, items) -> tuple[list, Exception | None]:
-    """fn of each item in turn, up to the first that raises: (results so
-    far, that exception or None)."""
-    done = []
-    try:
-        for x in items:
-            done.append(fn(x))
-    except Exception as exc:
-        return done, exc
-    return done, None
-
-
 def spread(fn, items) -> list:
     """``[fn(x) for x in items]``, shared out over the c CPUs this process
-    may use: c - 1 forked children each run ``items[i::c]`` and send
-    their results back through a pipe, and the caller runs
-    ``items[0::c]`` itself.  Children inherit ``fn`` and the items, so
-    only results travel.  The exception of the lowest-index failing item
-    is re-raised, as the plain loop would raise it; no child outlives
-    the call."""
+    may use: c - 1 forked children each run ``items[i::c]`` and send only
+    their result list back through a pipe; the caller runs ``items[0::c]``.
+    ``fn`` must be deterministic and free of side effects, as
+    :func:`sweep_point` is: if the caller's share raises, a child's share
+    does not arrive whole, or a pipe or a child cannot be made, the plain
+    loop runs instead and returns or raises what the serial path does.
+    No child outlives the call."""
     items = list(items)
     c = min(len(items), len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
     if c < 2:
         return [fn(x) for x in items]
-    children, shares = [], [None] * c
+    children, sent, mine = [], {}, None
     try:
         for i in range(1, c):
             r, w = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
             if pid == 0:
-                # the child leaves through os._exit only: no atexit handler
-                # runs and no inherited buffer is flushed a second time
-                code = 1
+                # the child leaves through os._exit only, with 0 once its share
+                # is sent whole: no atexit handler runs, no buffer is flushed twice
                 try:
-                    os.close(r)
-                    payload = _share(fn, items[i::c])
-                    try:
-                        data = pickle.dumps(payload)
-                    except Exception:
-                        data = pickle.dumps(([], RuntimeError(f"cannot send a worker's result: {payload!r}")))
                     with open(w, "wb") as fh:
-                        fh.write(data)
-                    code = 0
+                        pickle.dump([fn(x) for x in items[i::c]], fh)
+                    os._exit(0)
                 finally:
-                    os._exit(code)
+                    os._exit(1)
             os.close(w)
             children.append((i, pid, r))
-        shares[0] = _share(fn, items[0::c])
+        mine = [fn(x) for x in items[0::c]]
+    except Exception:
+        pass    # a share is missing: the plain loop below runs instead
     finally:
         # every pipe read to its end and every child reaped, whatever happened above
         for i, pid, r in children:
             with open(r, "rb") as fh:
                 data = fh.read()
-            status = os.waitpid(pid, 0)[1]
-            try:
-                shares[i] = pickle.loads(data)
-            except Exception:
-                shares[i] = ([], RuntimeError(f"worker {pid} ended without a result (wait status {status})"))
-    # (index of the failing item, its exception) per share that failed
-    failed = [(i + c * len(done), exc) for i, (done, exc) in enumerate(shares) if exc is not None]
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
-    results = [None] * len(items)
-    for i, (done, _) in enumerate(shares):
-        results[i::c] = done
-    return results
+            if os.waitpid(pid, 0)[1] == 0:
+                sent[i] = data
+    try:
+        results = [None] * len(items)
+        results[0::c] = mine
+        for i in range(1, c):
+            results[i::c] = pickle.loads(sent[i])
+        return results
+    except Exception:    # a share failed, is missing or cannot be read back
+        return [fn(x) for x in items]
 
 
 DEFAULT_SWEEP_FACTORS = (0.5, 0.75, 1.0, 1.5, 2.0)

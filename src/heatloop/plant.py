@@ -24,8 +24,10 @@ steps with :func:`rk4_stepper`, the same integrator on bare floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
+
+PARAMETERS = ("c_a", "c_w", "k_c", "k_f", "k_ext")    # the five physical parameters
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,7 @@ class ThermalParams:
     wall_denominator_cw: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("c_a", "c_w", "k_c", "k_f", "k_ext"):
+        for name in PARAMETERS:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
                 raise ValueError(f"ThermalParams.{name} must be a positive finite number, got {value!r}")
@@ -49,14 +51,7 @@ class ThermalParams:
         """All five parameters multiplied by ``factor`` (flag preserved)."""
         if not factor > 0.0:
             raise ValueError(f"scale factor must be positive, got {factor!r}")
-        return ThermalParams(
-            c_a=self.c_a * factor,
-            c_w=self.c_w * factor,
-            k_c=self.k_c * factor,
-            k_f=self.k_f * factor,
-            k_ext=self.k_ext * factor,
-            wall_denominator_cw=self.wall_denominator_cw,
-        )
+        return replace(self, **{name: getattr(self, name) * factor for name in PARAMETERS})
 
 
 NOMINAL = ThermalParams()

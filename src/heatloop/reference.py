@@ -118,20 +118,6 @@ REFERENCE_GENERATORS = {
 }
 
 
-def _window_end(t: np.ndarray, start: float, d: float, lo: int, hi: int) -> int:
-    """First tick in [lo, hi) whose tau = t - start reaches d, else hi.
-
-    tau rises with t, so the window is a prefix of the segment: start
-    from the unrounded guess t < start + d and step to the rounded edge.
-    """
-    k = min(max(int(np.searchsorted(t, start + d)), lo), hi)
-    while k > lo and t[k - 1] - start >= d:
-        k -= 1
-    while k < hi and t[k] - start < d:
-        k += 1
-    return k
-
-
 _BLENDS = {"step": None, "smooth": _quintic_blend, "ramp": _linear_blend}
 
 
@@ -149,6 +135,8 @@ def fill_reference(sched: Schedule, mode: str, t: np.ndarray, y_star: np.ndarray
         y_star[lo:hi] = cur
         y_star_dot[lo:hi] = 0.0
         if blend is not None and prev != cur and lo < hi:
-            end = _window_end(t, start, d, lo, hi)
-            y_star[lo:end], y_star_dot[lo:end] = blend(prev, cur, t[lo:end] - start, d)
+            # tau = t - start ascends with t, so the window is a prefix of it
+            tau = t[lo:hi] - start
+            end = lo + int(np.searchsorted(tau, d))
+            y_star[lo:end], y_star_dot[lo:end] = blend(prev, cur, tau[:end - lo], d)
         prev = cur

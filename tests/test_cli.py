@@ -4,6 +4,7 @@ Everything goes through main(argv) so the tests cover argument parsing,
 config loading, the run itself and the on-disk output formats.
 """
 
+import errno
 import os
 
 import pytest
@@ -257,6 +258,31 @@ def test_sweep_leaves_no_child_whatever_its_exit(tmp_path, two_cpus, no_child_le
     assert no_child_left()
     if code:
         assert capsys.readouterr().err.startswith("error:")
+
+
+def _raise_eagain():
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open fds in /proc/self/fd")
+@pytest.mark.parametrize("name, cpus, good_calls", [
+    ("fork", {0, 1}, 0),
+    ("pipe", {0, 1}, 0),
+    ("fork", {0, 1, 2}, 1),    # the first child starts, the second cannot
+], ids=["fork", "pipe", "second_fork"])
+def test_sweep_runs_serially_when_a_worker_cannot_start(tmp_path, monkeypatch, default_cfg, no_child_left,
+                                                       name, cpus, good_calls):
+    serial = tmp_path / "serial"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert main(["sweep", "--config", default_cfg, "--out", str(serial)]) == 0
+    fds = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    calls = iter([getattr(os, name)] * good_calls)    # the first good_calls go through, the rest raise
+    monkeypatch.setattr(os, name, lambda: next(calls, _raise_eagain)())
+    assert main(["sweep", "--config", default_cfg, "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert no_child_left()
 
 
 # ---------------------------------------------------------------------------
