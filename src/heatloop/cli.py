@@ -15,6 +15,7 @@ aborts on a non-finite value.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -118,13 +119,23 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     base = _scenario(args)
     _make_out_dir(args.out)
-    rows = []
-    for name, sc in comparison_scenarios(base):
-        trace = run(sc)
-        rows.append((name, compute_metrics(trace)))
-        write_timeseries_csv(os.path.join(args.out, f"{name}.csv"), trace)
-        if args.plot:
-            write_svg(os.path.join(args.out, f"{name}.svg"), trace, title=name)
+    rows, written = [], []
+    try:
+        for name, sc in comparison_scenarios(base):
+            trace = run(sc)
+            rows.append((name, compute_metrics(trace)))
+            path = os.path.join(args.out, name)
+            written.append(path + ".csv")
+            write_timeseries_csv(path + ".csv", trace)
+            if args.plot:
+                written.append(path + ".svg")
+                write_svg(path + ".svg", trace, title=name)
+    except BaseException:
+        # a failed comparison leaves none of its runs' files behind
+        for path in written:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        raise
     write_comparison_txt(os.path.join(args.out, "comparison.txt"), rows)
     return 0
 

@@ -34,7 +34,7 @@ from dataclasses import fields, is_dataclass, replace
 
 from .controllers import CONTROLLERS, HEATING_AND_COOLING, HEATING_ONLY, default_controller
 from .engine import ConstantTExt, Scenario, SinusoidTExt, TableTExt
-from .reference import REFERENCE_GENERATORS
+from .reference import MODES
 
 
 class ConfigError(ValueError):
@@ -44,7 +44,7 @@ class ConfigError(ValueError):
 _KEYS = {"rng_seed": "seed", "reference_mode": "reference.mode"}
 
 CHOICES = {
-    "reference.mode": {mode: mode for mode in REFERENCE_GENERATORS},
+    "reference.mode": {mode: mode for mode in MODES},
     "controller.kind": CONTROLLERS,
     "actuator.mode": {
         "heat": HEATING_ONLY,
@@ -264,8 +264,3 @@ def serialize_scenario(sc: Scenario) -> str:
     """Canonical config text; parse_scenario() of the result reproduces
     the scenario exactly."""
     return "\n".join(_lines("", sc)) + "\n"
-
-
-def save_scenario(sc: Scenario, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_scenario(sc))

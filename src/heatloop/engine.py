@@ -47,7 +47,7 @@ from .controllers import (
 from .estimation import estimate_F, slope_scale
 from .noise import gaussian_column
 from .plant import NOMINAL, ThermalParams, ThermalState, rk4_stepper, wall_equilibrium
-from .reference import REFERENCE_GENERATORS, Schedule, fill_reference
+from .reference import MODES, Schedule, fill_reference
 
 
 class SimulationError(RuntimeError):
@@ -181,7 +181,7 @@ class Scenario:
             period = self.t_ext.period
             if period == 0.0 or not math.isfinite(2.0 * math.pi * self.horizon / period):
                 raise ValueError(f"t_ext.period={period!r} is too short for horizon={self.horizon!r}")
-        if self.reference_mode not in REFERENCE_GENERATORS:
+        if self.reference_mode not in MODES:
             raise ValueError(f"unknown reference_mode {self.reference_mode!r}")
         if self.schedule.start > 0.0:
             raise ValueError("schedule must start at or before t = 0")
@@ -287,8 +287,8 @@ def run(scenario: Scenario, noise_source: np.ndarray | None = None) -> Trace:
     if ip:
         w = cfg.window_len
         warm, scale, alpha = w - 1, slope_scale(w, dt), cfg.alpha
-        # SlopeEstimator.slope over the measured row: (weight, offset of the
-        # newer sample, offset of the older) per mirror pair, in its order;
+        # the least-squares slope over the measured row: (weight, offset of
+        # the newer sample, offset of the older) per mirror pair, in order;
         # a window longer than the run never fills and needs none
         pairs = [(float(w - 1 - 2 * i), i, w - 1 - i) for i in range(w // 2)] if w <= n else []
     elif isinstance(cfg, PiController):
@@ -457,7 +457,9 @@ DEFAULT_SWEEP_FACTORS = (0.5, 0.75, 1.0, 1.5, 2.0)
 
 def sweep_point(scenario: Scenario, factor: float) -> Metrics:
     """The metrics of the scenario run on its plant with all five
-    parameters multiplied by ``factor``, the controller left as tuned."""
+    parameters multiplied by ``factor``, the controller left as tuned.
+    That plant is the scenario's with its heater gain divided by
+    ``factor`` and the same time constants (:meth:`ThermalParams.scaled`)."""
     return compute_metrics(run(replace(scenario, plant=scenario.plant.scaled(factor))))
 
 
@@ -465,5 +467,7 @@ def sweep(scenario: Scenario, factors: tuple[float, ...] = DEFAULT_SWEEP_FACTORS
     """Re-run the scenario with all five plant parameters multiplied by
     each factor, the runs spread over the CPUs.  Controller tuning is
     deliberately left untouched: the point is to measure how each
-    strategy survives a plant it was not tuned for."""
+    strategy survives a plant it was not tuned for.  A uniform factor
+    changes the input gain only: the plant's heater gain is divided by
+    the factor, and its time constants do not change."""
     return list(zip(factors, spread(lambda factor: sweep_point(scenario, factor), factors)))

@@ -15,13 +15,12 @@ The samples sit on the engine's uniform tick grid, so the least-squares
 slope over the last W of them is a fixed FIR filter, the
 first-derivative Savitzky-Golay filter.  Only the measured values are
 kept; the fit never sees a time value.  The engine's tick loop takes the
-same mirror-pair sum straight from its measured column, and the tests
-hold it to :class:`SlopeEstimator` bit for bit.
+mirror-pair sum straight from its measured column, scaled by
+:func:`slope_scale`; the tests hold it bit for bit to a least-squares
+estimator over a ring of samples.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 
 def slope_scale(window_len: int, dt: float) -> float:
@@ -30,36 +29,6 @@ def slope_scale(window_len: int, dt: float) -> float:
     # least-squares weights are (j - (W-1)/2) / (dt * W*(W^2-1)/12);
     # a mirror pair's offset is (W-1-2i)/2, whose 1/2 is folded in here
     return 6.0 / (dt * (window_len * (window_len * window_len - 1)))
-
-
-class SlopeEstimator:
-    """Least-squares slope of the last ``window_len`` values pushed, one
-    ``dt`` apart (``window_len`` 2 is a backward difference)."""
-
-    def __init__(self, window_len: int, dt: float):
-        # the deque allocates as it fills, and the scale is closed-form,
-        # so a huge window costs nothing until samples arrive
-        self._ring = deque(maxlen=window_len)
-        self._scale = slope_scale(window_len, dt)
-
-    def push(self, y: float) -> None:
-        self._ring.append(y)
-
-    @property
-    def slope(self) -> float | None:
-        """None until the window is full (warm-up).
-
-        Mirror samples are subtracted before weighting, so a constant
-        window gives exactly 0.
-        """
-        ring = self._ring
-        w = len(ring)
-        if w < ring.maxlen:
-            return None
-        acc = 0.0
-        for i in range(w // 2):
-            acc += (w - 1 - 2 * i) * (ring[-1 - i] - ring[i])
-        return self._scale * acc
 
 
 def estimate_F(dy_hat: float, u_prev: float, alpha: float) -> float:

@@ -15,7 +15,8 @@ gaussian per tick (the sine half is discarded).
 is integer arithmetic modulo 2^64, so running it in numpy ``uint64`` is
 exact; the logarithm and cosine of Box-Muller stay on ``math`` per draw,
 because numpy's versions differ from them in the last bit on a few
-draws.
+draws.  The tests hold it bit for bit to the stream drawn one integer
+SplitMix64 output at a time.
 """
 
 from __future__ import annotations
@@ -28,36 +29,9 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix64(x: int) -> int:
-    z = x & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
-
-
-def splitmix64(seed: int, k: int) -> int:
-    """k-th 64-bit output of SplitMix64 seeded with ``seed`` (k >= 0)."""
-    if k < 0:
-        raise ValueError(f"stream index must be nonnegative, got {k!r}")
-    return _mix64((seed + (k + 1) * _GOLDEN) & _MASK)
-
-
-def uniform(seed: int, k: int) -> float:
-    """k-th uniform draw in [0, 1), 53-bit resolution."""
-    return (splitmix64(seed, k) >> 11) * 2.0 ** -53
-
-
-def gaussian(seed: int, k: int) -> float:
-    """k-th standard normal draw (Box-Muller, cosine branch)."""
-    u1 = uniform(seed, 2 * k)
-    u2 = uniform(seed, 2 * k + 1)
-    if u1 <= 0.0:
-        u1 = 2.0 ** -53
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-
 def _uniform_column(seed: int, m: int) -> np.ndarray:
-    """uniform(seed, j) for j < m, as one float64 array."""
+    """Uniform draws 0 to m-1 in [0, 1), 53-bit resolution, as one
+    float64 array."""
     z = np.arange(1, m + 1, dtype=np.uint64)
     z *= np.uint64(_GOLDEN)     # uint64 arithmetic wraps modulo 2^64
     z += np.uint64(seed & _MASK)
@@ -71,7 +45,8 @@ def _uniform_column(seed: int, m: int) -> np.ndarray:
 
 
 def gaussian_column(seed: int, n: int) -> np.ndarray:
-    """gaussian(seed, k) for k < n, as one float64 array, bit for bit."""
+    """Standard normal draws 0 to n-1 (Box-Muller, cosine branch), as one
+    float64 array."""
     u = _uniform_column(seed, 2 * n).reshape(n, 2)
     u1 = np.maximum(u[:, 0], 2.0 ** -53)
     angle = (2.0 * math.pi) * u[:, 1]

@@ -14,11 +14,11 @@ default, which is what this model deliberately reproduces.  Set
 instead; everything downstream (integrators, equilibria) follows the
 flag automatically.
 
-For piecewise-constant q and t_ext the model is affine LTI, so each
-hold interval has a closed-form solution.  ``exact_step`` evaluates it
-through the eigendecomposition of the 2x2 system matrix and serves as
-an independent reference for the ``step_rk4`` integrator.  The engine
-steps with :func:`rk4_stepper`, the same integrator on bare floats.
+The engine steps the model with :func:`rk4_stepper`, classical RK4 on
+bare floats with q and t_ext held over the step.  For piecewise-constant
+inputs the model is affine LTI (:func:`system_matrices`), so each hold
+interval also has a closed-form solution; the tests keep it as the
+oracle that the integrator is checked against.
 """
 
 from __future__ import annotations
@@ -48,7 +48,12 @@ class ThermalParams:
                 raise ValueError(f"ThermalParams.{name} must be a positive finite number, got {value!r}")
 
     def scaled(self, factor: float) -> "ThermalParams":
-        """All five parameters multiplied by ``factor`` (flag preserved)."""
+        """All five parameters multiplied by ``factor`` (flag preserved).
+
+        Every coefficient of the model is a ratio of two parameters except
+        the heater gain 1/c_a, so this is the same plant with its heater
+        gain divided by ``factor``: its time constants do not change.
+        """
         if not factor > 0.0:
             raise ValueError(f"scale factor must be positive, got {factor!r}")
         return replace(self, **{name: getattr(self, name) * factor for name in PARAMETERS})
@@ -65,40 +70,14 @@ class ThermalState:
     t_wall: float
 
 
-def derivatives(state: ThermalState, q: float, t_ext: float, params: ThermalParams = NOMINAL) -> tuple[float, float]:
-    """Right-hand side (dT_int/dt, dT_wall/dt) in K/s."""
-    p = params
-    wall_den = p.c_w if p.wall_denominator_cw else p.c_a
-    d_int = q / p.c_a - (p.k_c / p.c_a) * (state.t_int - state.t_wall) - (p.k_f / p.c_a) * (state.t_int - t_ext)
-    d_wall = (p.k_c / p.c_w) * (state.t_int - state.t_wall) - (p.k_ext / wall_den) * (state.t_wall - t_ext)
-    return d_int, d_wall
-
-
-def step_rk4(state: ThermalState, q: float, t_ext: float, dt: float, params: ThermalParams = NOMINAL) -> ThermalState:
-    """Advance one step of length ``dt`` with the classical Runge-Kutta scheme.
-
-    ``q`` and ``t_ext`` are held constant over the step (zero-order hold).
-    """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    ti, tw = state.t_int, state.t_wall
-    k1 = derivatives(state, q, t_ext, params)
-    k2 = derivatives(ThermalState(ti + 0.5 * dt * k1[0], tw + 0.5 * dt * k1[1]), q, t_ext, params)
-    k3 = derivatives(ThermalState(ti + 0.5 * dt * k2[0], tw + 0.5 * dt * k2[1]), q, t_ext, params)
-    k4 = derivatives(ThermalState(ti + dt * k3[0], tw + dt * k3[1]), q, t_ext, params)
-    return ThermalState(
-        ti + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-        tw + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-    )
-
-
 def rk4_stepper(params: ThermalParams, dt: float) -> Callable[[float, float, float, float], tuple[float, float]]:
-    """``step(t_int, t_wall, q, t_ext) -> (t_int, t_wall)``: the ``step_rk4``
-    of ``params`` and ``dt`` on bare floats.
+    """``step(t_int, t_wall, q, t_ext) -> (t_int, t_wall)``: one classical
+    Runge-Kutta step of length ``dt`` of the model with ``params``, with
+    ``q`` and ``t_ext`` held constant over the step (zero-order hold).
 
-    The coefficient quotients and step fractions are computed once; every
-    other operation is the one ``step_rk4`` does, in its order, so the two
-    agree bit for bit.
+    The coefficient quotients and step fractions are computed once per
+    stepper; the tests hold each step bit for bit to the same scheme
+    written on :class:`ThermalState`.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
@@ -141,17 +120,6 @@ def system_matrices(params: ThermalParams = NOMINAL) -> tuple[tuple[float, float
     return (a11, a12, a21, a22), (1.0 / p.c_a, p.k_f / p.c_a, p.k_ext / wall_den)
 
 
-def equilibrium(q: float, t_ext: float, params: ThermalParams = NOMINAL) -> ThermalState:
-    """Fixed point of the model for constant inputs (A is always invertible
-    for positive parameters, so the fixed point is unique)."""
-    (a11, a12, a21, a22), (b_q, b_f, b_w) = system_matrices(params)
-    b1 = b_q * q + b_f * t_ext
-    b2 = b_w * t_ext
-    det = a11 * a22 - a12 * a21
-    # x_eq = -A^-1 b via Cramer's rule.
-    return ThermalState((-a22 * b1 + a12 * b2) / det, (a21 * b1 - a11 * b2) / det)
-
-
 def wall_equilibrium(t_int: float, t_ext: float, params: ThermalParams = NOMINAL) -> float:
     """Wall temperature at rest for a held indoor temperature."""
     (_, _, a21, a22), (_, _, b_w) = system_matrices(params)
@@ -159,52 +127,3 @@ def wall_equilibrium(t_int: float, t_ext: float, params: ThermalParams = NOMINAL
     return -(a21 * t_int + b_w * t_ext) / a22
 
 
-def _phi1(z: float) -> float:
-    """(exp(z) - 1) / z, series-expanded near z = 0."""
-    if abs(z) < 1e-5:
-        return 1.0 + z * (0.5 + z * (1.0 / 6.0 + z * (1.0 / 24.0 + z / 120.0)))
-    return math.expm1(z) / z
-
-
-def propagator(dt: float, params: ThermalParams = NOMINAL) -> tuple[float, float, float, float]:
-    """exp(A*dt) for the system matrix A, in row-major order.
-
-    Computed from the eigenvalues of A.  For positive parameters the
-    discriminant (a11 - a22)^2 + 4*a12*a21 is strictly positive, so the
-    eigenvalues are real; the near-coincident case is handled by a series
-    expansion rather than the difference quotient.
-    """
-    (a11, a12, a21, a22), _ = system_matrices(params)
-    tr = a11 + a22
-    disc = (a11 - a22) * (a11 - a22) + 4.0 * a12 * a21
-    s = math.sqrt(max(disc, 0.0))
-    lam1 = 0.5 * (tr + s)
-    lam2 = 0.5 * (tr - s)
-    e1 = math.exp(lam1 * dt)
-    # exp(A t) = e^(lam1 t) I + r (A - lam1 I),  r = (e^(lam1 t) - e^(lam2 t)) / (lam1 - lam2)
-    r = dt * e1 * _phi1((lam2 - lam1) * dt)
-    return (
-        e1 + r * (a11 - lam1),
-        r * a12,
-        r * a21,
-        e1 + r * (a22 - lam1),
-    )
-
-
-def exact_step(state: ThermalState, q: float, t_ext: float, dt: float, params: ThermalParams = NOMINAL) -> ThermalState:
-    """Closed-form solution after ``dt`` seconds of constant q and t_ext.
-
-    x(dt) = x_eq + exp(A dt) (x(0) - x_eq).  Used as the reference route
-    when validating ``step_rk4``; also fine for plain simulation when the
-    inputs are piecewise constant.
-    """
-    if dt < 0.0:
-        raise ValueError(f"dt must be nonnegative, got {dt!r}")
-    eq = equilibrium(q, t_ext, params)
-    e11, e12, e21, e22 = propagator(dt, params)
-    dx1 = state.t_int - eq.t_int
-    dx2 = state.t_wall - eq.t_wall
-    return ThermalState(
-        eq.t_int + e11 * dx1 + e12 * dx2,
-        eq.t_wall + e21 * dx1 + e22 * dx2,
-    )

@@ -1,14 +1,14 @@
-"""Setpoint schedules and reference trajectory generators.
+"""Setpoint schedules and the reference trajectory.
 
 A schedule is an ordered list of (start_time, setpoint) segments; the
-last segment extends indefinitely.  Three generators turn it into a
-reference (y_star, y_star_dot):
+last segment extends indefinitely.  Three modes, the keys of
+:data:`MODES`, turn it into a reference (y_star, y_star_dot):
 
-* ``step_reference``   -- hold the active setpoint, derivative zero;
-* ``smooth_reference`` -- quintic blend over a window of length D
-  starting at each segment boundary (C2: value, slope and curvature all
-  match at both ends);
-* ``ramp_reference``   -- linear blend over the same window.
+* ``step``   -- hold the active setpoint, derivative zero;
+* ``smooth`` -- quintic blend over a window of length D starting at
+  each segment boundary (C2: value, slope and curvature all match at
+  both ends);
+* ``ramp``   -- linear blend over the same window.
 
 The transition starts at the boundary, so y_star leaves the old
 setpoint at the boundary instant and reaches the new one D seconds
@@ -16,15 +16,13 @@ later.
 
 :func:`fill_reference` writes a whole run's reference at once: one
 slice fill per hold, and the blend evaluated on the ticks of each
-transition window only.  The blends are written once and evaluate
-floats and arrays alike, so the columns equal the scalar generators
-bit for bit.
+transition window only.  The blends evaluate floats and arrays alike;
+the tests hold the columns to per-instant generators built on the same
+blends, bit for bit.
 """
-
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,17 +60,9 @@ class Schedule:
         return self.segments[0][0]
 
 
-def _segment_context(sched: Schedule, t: float) -> tuple[float, float, float]:
-    """(previous setpoint, active setpoint, time since active segment start)."""
-    if t < sched.start:
-        raise ValueError(f"t={t!r} precedes the first segment start {sched.start!r}")
-    starts = [s for s, _ in sched.segments]
-    i = bisect_right(starts, t) - 1
-    prev_sp = sched.segments[i - 1][1] if i > 0 else sched.segments[i][1]
-    return prev_sp, sched.segments[i][1], t - starts[i]
-
-
 def _quintic_blend(prev, cur, tau, d):
+    # s = 6 sigma^5 - 15 sigma^4 + 10 sigma^3, whose first and second
+    # derivatives vanish at both ends
     sigma = tau / d
     s = sigma * sigma * sigma * (10.0 + sigma * (-15.0 + 6.0 * sigma))
     ds = 30.0 * sigma * sigma * (1.0 - sigma) * (1.0 - sigma) / d
@@ -83,51 +73,16 @@ def _linear_blend(prev, cur, tau, d):
     return prev + (cur - prev) * (tau / d), (cur - prev) / d
 
 
-def _blended(blend, sched: Schedule, t: float) -> tuple[float, float]:
-    prev, cur, tau = _segment_context(sched, t)
-    d = sched.transition_duration
-    if prev == cur or tau >= d:
-        return cur, 0.0
-    return blend(prev, cur, tau, d)
-
-
-def step_reference(sched: Schedule, t: float) -> tuple[float, float]:
-    """Piecewise-constant reference: the active setpoint, slope 0."""
-    _, cur, _ = _segment_context(sched, t)
-    return cur, 0.0
-
-
-def smooth_reference(sched: Schedule, t: float) -> tuple[float, float]:
-    """Quintic blend a -> b over [start, start + D).
-
-    With sigma = tau/D the blend is s = 6 sigma^5 - 15 sigma^4 + 10 sigma^3,
-    whose first and second derivatives vanish at both ends.
-    """
-    return _blended(_quintic_blend, sched, t)
-
-
-def ramp_reference(sched: Schedule, t: float) -> tuple[float, float]:
-    """Linear blend a -> b over [start, start + D); slope (b-a)/D inside."""
-    return _blended(_linear_blend, sched, t)
-
-
-REFERENCE_GENERATORS = {
-    "step": step_reference,
-    "smooth": smooth_reference,
-    "ramp": ramp_reference,
-}
-
-
-_BLENDS = {"step": None, "smooth": _quintic_blend, "ramp": _linear_blend}
+# every reference mode and its blend; step has none
+MODES = {"step": None, "smooth": _quintic_blend, "ramp": _linear_blend}
 
 
 def fill_reference(sched: Schedule, mode: str, t: np.ndarray, y_star: np.ndarray, y_star_dot: np.ndarray) -> None:
     """Write the ``mode`` reference at the nondecreasing times ``t`` into
-    ``y_star`` and ``y_star_dot``, equal to ``REFERENCE_GENERATORS[mode]``
-    at every entry."""
+    ``y_star`` and ``y_star_dot``."""
     if len(t) and t[0] < sched.start:
         raise ValueError(f"t={float(t[0])!r} precedes the first segment start {sched.start!r}")
-    blend = _BLENDS[mode]
+    blend = MODES[mode]
     d = sched.transition_duration
     first_ticks = np.searchsorted(t, [s for s, _ in sched.segments]).tolist()
     prev = sched.segments[0][1]

@@ -38,8 +38,9 @@ from heatloop.engine import (
     sweep,
     transition_spans,
 )
-from heatloop.plant import NOMINAL, ThermalParams, ThermalState, exact_step, step_rk4
+from heatloop.plant import NOMINAL, ThermalParams, ThermalState
 from heatloop.reference import Schedule
+from oracles import exact_step, step_rk4
 
 
 def _report(capsys, name: str, ok: bool, detail: str) -> None:

@@ -4,14 +4,20 @@ Everything goes through main(argv) so the tests cover argument parsing,
 config loading, the run itself and the on-disk output formats.
 """
 
+import contextlib
 import errno
+import io
 import os
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from heatloop.config import save_scenario
+from heatloop.config import serialize_scenario
 from heatloop.engine import compute_metrics, default_scenario, run
 from heatloop.cli import comparison_scenarios, main
+from test_config import config_texts
 
 CSV_HEADER = "t,t_int_true,t_int_measured,t_wall,t_ext,y_star,y_star_dot,q_command,q_applied,f_estim"
 
@@ -36,7 +42,7 @@ noise_std = 0.0
 @pytest.fixture
 def default_cfg(tmp_path):
     path = tmp_path / "default.cfg"
-    save_scenario(default_scenario(), str(path))
+    path.write_text(serialize_scenario(default_scenario()), encoding="utf-8")
     return str(path)
 
 
@@ -188,6 +194,17 @@ def test_compare_metrics_reflect_known_rankings(tmp_path, default_cfg):
     # a fast one in actuator churn
     assert rows["flat_pi_slow"]["rmse"] > 2.0 * rows["ip_heat_cool"]["rmse"]
     assert rows["flat_pi_fast"]["control_variation"] > 3.0 * rows["ip_heat_cool"]["control_variation"]
+
+
+def test_compare_failing_in_a_later_run_leaves_no_file(tmp_path, capsys):
+    # ip_heat and ip_heat_cool pass; pi_step overflows its command at tick 806
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text("noise_std = 1e306\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg), "--out", str(out), "--plot"]) == 3
+    assert "tick 806" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.cfg", "out"]
 
 
 def test_compare_plot_flag(tmp_path, default_cfg):
@@ -403,7 +420,7 @@ def test_extreme_inputs_exit_cleanly(tmp_path, run_python, command, text, code, 
     # a plot that cannot be drawn leaves no file behind
     assert [p.name for p in out.glob("*.svg") if p.stat().st_size == 0] == []
     if code == 3:
-        # the failing run is the first one, and it fails before it writes any file
+        # whichever run fails, the command leaves no file behind
         assert [p.name for p in out.glob("*")] == []
 
 
@@ -411,3 +428,72 @@ def test_module_entry_point_help(run_python):
     proc = run_python("-m", "heatloop.cli", "--help")
     assert proc.returncode == 0
     assert "run" in proc.stdout and "compare" in proc.stdout and "sweep" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# main() fuzzed in-process
+
+# values drawn for these keys in place of the config text's: horizon and
+# dt give at most 240 ticks or exit 2, and the rest push a run towards a
+# non-finite value
+_OWN_VALUES = {
+    "horizon": ["120", "600", "3600", "7200"] * 3 + ["0", "-60", "nan", "inf", "1e15", "1e308", "abc"],
+    "dt": ["60", "30"] * 4 + ["7", "0", "nan", "1e-300", "5e-324", "abc"],
+    "noise_std": ["1e306"],
+    "initial.t_int": ["1e300", "-1e300"],
+    "actuator.q_max": ["1e300"],
+    "plant.c_a": ["1e-300"],
+}
+_FLAG_VALUES = {
+    "--controller": ["ip", "pi", "flat_p", "flat_pi", "lqr"],
+    "--reference": ["step", "smooth", "ramp", "sine"],
+    "--actuator": ["heat", "heating_only", "heat_cool", "heating_and_cooling", "cool"],
+    "--seed": ["0", "7", "-1", "99999999999999999999999", "abc", ""],
+}
+_COMMAND_FLAGS = {"run": [*_FLAG_VALUES, "--plot"], "compare": ["--seed", "--plot"], "sweep": list(_FLAG_VALUES)}
+# where --out points, relative to the example's directory: a fresh path
+# or one that is already there
+_OUT_SHAPES = {"fresh": "o", "nested": "o/a/b", "empty_dir": "o", "file": "file", "under_file": "file/sub", "empty": ""}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    args = [command]
+    for flag in draw(st.lists(st.sampled_from(_COMMAND_FLAGS[command]), max_size=3, unique=True)):
+        args += [flag] if flag == "--plot" else [flag, draw(st.sampled_from(_FLAG_VALUES[flag]))]
+    own = ["horizon", "dt"] + draw(st.lists(st.sampled_from(list(_OWN_VALUES)[2:]), max_size=2, unique=True))
+    lines = [line for line in draw(config_texts()).splitlines() if line.partition("=")[0].strip() not in own]
+    lines += [f"{key} = {draw(st.sampled_from(_OWN_VALUES[key]))}" for key in own]
+    return args, "\n".join(draw(st.permutations(lines))) + "\n", draw(st.sampled_from(sorted(_OUT_SHAPES)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(command_lines())
+def test_main_exits_0_2_or_3_on_any_command_line(case):
+    args, text, shape = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+        cfg = os.path.join(tmp, "c.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with open(os.path.join(tmp, "weather.csv"), "w", encoding="utf-8") as fh:
+            fh.write("time,temp\n0, 2.0\n3600, 6.0\n")
+        if shape == "empty_dir":
+            os.mkdir(os.path.join(tmp, "o"))
+        if shape in ("file", "under_file"):
+            open(os.path.join(tmp, "file"), "w").close()
+        out = os.path.join(tmp, _OUT_SHAPES[shape]) if _OUT_SHAPES[shape] else ""
+        try:
+            code = main([*args, "--config", cfg, "--out", out])
+        except SystemExit as exc:    # argparse rejects a flag value
+            code = exc.code
+        fresh = shape in ("fresh", "nested")
+        left = os.listdir(out) if fresh and os.path.isdir(out) else []
+    assert code in (0, 2, 3), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().startswith(("error:", "usage:"))
+    if code == 3:
+        assert left == []

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatloop.config import CHOICES, ConfigError, load_scenario, parse_scenario, save_scenario, serialize_scenario
+from heatloop.config import CHOICES, ConfigError, load_scenario, parse_scenario, serialize_scenario
 from heatloop.controllers import (
     CONTROLLERS,
     HEATING_AND_COOLING,
@@ -232,7 +232,7 @@ def test_table_t_ext_roundtrip_through_files(tmp_path):
 def test_save_and_load_scenario(tmp_path):
     sc = default_scenario(controller=PiController(), noise_std=0.0, rng_seed=5)
     path = tmp_path / "out.cfg"
-    save_scenario(sc, str(path))
+    path.write_text(serialize_scenario(sc), encoding="utf-8")
     assert load_scenario(str(path)) == sc
     assert path.read_text(encoding="utf-8").endswith("\n")
 

@@ -19,8 +19,9 @@ from heatloop.controllers import (
     place_flat_pi_gains,
 )
 from heatloop.estimation import estimate_F
-from heatloop.plant import NOMINAL, ThermalState, derivatives, step_rk4, wall_equilibrium
-from heatloop.reference import Schedule, smooth_reference
+from heatloop.plant import NOMINAL, ThermalState, wall_equilibrium
+from heatloop.reference import Schedule
+from oracles import derivatives, smooth_reference, step_rk4
 
 
 def test_ip_gains_validation():

