@@ -7,9 +7,12 @@ Three subcommands:
 * ``sweep``   -- plant-parameter robustness sweep, sweep.csv; its runs
   share the CPUs this process may use
 
-Exit codes: 0 on success, 2 for configuration or ``--out`` problems
-(the diagnostic names the offending file, key or path), 3 when a run
-aborts on a non-finite value.
+A command writes into a fresh ``.heatloop-*`` directory under ``--out``,
+and its files move into ``--out`` with ``os.replace`` only once it has
+succeeded: a failed command leaves ``--out`` as it was.  Exit codes: 0
+on success, 2 for configuration or ``--out`` problems (the diagnostic
+names the offending file, key or path), 3 when a run aborts on a
+non-finite value.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
@@ -91,65 +96,52 @@ def write_comparison_txt(path: str, rows: list[tuple[str, Metrics]]) -> None:
             fh.write("  ".join(cells).rstrip() + "\n")
 
 
-def _make_out_dir(path: str) -> None:
+@contextlib.contextmanager
+def _staged(out: str):
+    """A fresh directory under ``out`` to write into, always removed; its
+    files move into ``out`` if the block succeeds and none is a directory there."""
     try:
-        os.makedirs(path, exist_ok=True)
+        os.makedirs(out, exist_ok=True)
+        stage = tempfile.mkdtemp(prefix=".heatloop-", dir=out)
     except OSError as exc:
-        raise ConfigError(f"--out {path!r}: cannot create the output directory: {exc.strerror}") from None
-
-
-def _scenario(args: argparse.Namespace) -> Scenario:
-    """The --config scenario with each given flag applied as its config entry."""
-    flags = {_FLAG_KEYS[flag]: value for flag, value in vars(args).items() if flag in _FLAG_KEYS and value is not None}
-    return apply_entries(load_scenario(args.config), flags)
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    sc = _scenario(args)
-    _make_out_dir(args.out)
-    trace = run(sc)
-    metrics = compute_metrics(trace)    # a run that fails here leaves no files
-    write_timeseries_csv(os.path.join(args.out, "timeseries.csv"), trace)
-    write_metrics_txt(os.path.join(args.out, "metrics.txt"), metrics)
-    if args.plot:
-        write_svg(os.path.join(args.out, "plot.svg"), trace, title=f"{sc.controller.kind} / {sc.reference_mode}")
-    return 0
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    base = _scenario(args)
-    _make_out_dir(args.out)
-    rows, written = [], []
+        raise ConfigError(f"--out {out!r}: cannot create the output directory: {exc.strerror}") from None
     try:
-        for name, sc in comparison_scenarios(base):
-            trace = run(sc)
-            rows.append((name, compute_metrics(trace)))
-            path = os.path.join(args.out, name)
-            written.append(path + ".csv")
-            write_timeseries_csv(path + ".csv", trace)
-            if args.plot:
-                written.append(path + ".svg")
-                write_svg(path + ".svg", trace, title=name)
-    except BaseException:
-        # a failed comparison leaves none of its runs' files behind
-        for path in written:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(path)
-        raise
-    write_comparison_txt(os.path.join(args.out, "comparison.txt"), rows)
-    return 0
+        yield stage
+        names = os.listdir(stage)
+        for name in names:
+            if os.path.isdir(os.path.join(out, name)):
+                raise ConfigError(f"--out {out!r}: cannot write {name!r}: a directory has that name")
+        for name in names:
+            os.replace(os.path.join(stage, name), os.path.join(out, name))
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    base = _scenario(args)
+def cmd_run(args: argparse.Namespace, sc: Scenario, out: str) -> None:
+    trace = run(sc)
+    write_timeseries_csv(os.path.join(out, "timeseries.csv"), trace)
+    write_metrics_txt(os.path.join(out, "metrics.txt"), compute_metrics(trace))
+    if args.plot:
+        write_svg(os.path.join(out, "plot.svg"), trace, title=f"{sc.controller.kind} / {sc.reference_mode}")
+
+
+def cmd_compare(args: argparse.Namespace, base: Scenario, out: str) -> None:
+    rows = []
+    for name, sc in comparison_scenarios(base):
+        trace = run(sc)
+        rows.append((name, compute_metrics(trace)))
+        write_timeseries_csv(os.path.join(out, name + ".csv"), trace)
+        if args.plot:
+            write_svg(os.path.join(out, name + ".svg"), trace, title=name)
+    write_comparison_txt(os.path.join(out, "comparison.txt"), rows)
+
+
+def cmd_sweep(args: argparse.Namespace, base: Scenario, out: str) -> None:
     kinds = [args.controller] if args.controller else list(CONTROLLERS)
-    _make_out_dir(args.out)
-    # one scenario per kind, then all kinds x factors in one spread; the
-    # file opens only after every run has passed
     scenarios = {kind: apply_entries(base, {"controller.kind": kind}) for kind in kinds}
     points = [(kind, factor) for kind in kinds for factor in DEFAULT_SWEEP_FACTORS]
     rows = spread(lambda point: sweep_point(scenarios[point[0]], point[1]), points)
-    with open(os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8", newline="\n") as fh:
+    with open(os.path.join(out, "sweep.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("controller,factor,rmse,energy,control_variation\n")
         for (kind, factor), metrics in zip(points, rows):
             fh.write(",".join((
@@ -159,7 +151,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 _g9(metrics.energy),
                 _g9(metrics.control_variation),
             )) + "\n")
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -193,13 +184,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, ValueError) as exc:
+        # the --config scenario with each given flag applied as its config entry
+        flags = {_FLAG_KEYS[flag]: value for flag, value in vars(args).items() if flag in _FLAG_KEYS and value is not None}
+        base = apply_entries(load_scenario(args.config), flags)
+        with _staged(args.out) as stage:
+            args.func(args, base, stage)
+        return 0
+    except (ValueError, SimulationError) as exc:    # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, SimulationError) else 2
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ from .controllers import (
 )
 from .estimation import estimate_F, slope_scale
 from .noise import gaussian_column
-from .plant import NOMINAL, ThermalParams, ThermalState, rk4_stepper, wall_equilibrium
+from .plant import NOMINAL, PARAMETERS, ThermalParams, ThermalState, rk4_stepper, wall_equilibrium
 from .reference import MODES, Schedule, fill_reference
 
 
@@ -459,8 +459,14 @@ def sweep_point(scenario: Scenario, factor: float) -> Metrics:
     """The metrics of the scenario run on its plant with all five
     parameters multiplied by ``factor``, the controller left as tuned.
     That plant is the scenario's with its heater gain divided by
-    ``factor`` and the same time constants (:meth:`ThermalParams.scaled`)."""
-    return compute_metrics(run(replace(scenario, plant=scenario.plant.scaled(factor))))
+    ``factor`` and the same time constants (:meth:`ThermalParams.scaled`).
+    A product out of range raises ValueError naming its config key."""
+    try:
+        plant = scenario.plant.scaled(factor)
+    except ValueError as exc:
+        name = next(n for n in PARAMETERS if not 0.0 < getattr(scenario.plant, n) * factor < math.inf)
+        raise ValueError(f"plant.{name} = {getattr(scenario.plant, name)!r} times sweep factor {factor!r}: {exc}") from None
+    return compute_metrics(run(replace(scenario, plant=plant)))
 
 
 def sweep(scenario: Scenario, factors: tuple[float, ...] = DEFAULT_SWEEP_FACTORS) -> list[tuple[float, Metrics]]:

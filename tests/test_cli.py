@@ -12,10 +12,11 @@ import tempfile
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from heatloop.config import serialize_scenario
 from heatloop.engine import compute_metrics, default_scenario, run
+from heatloop import cli
 from heatloop.cli import comparison_scenarios, main
 from test_config import config_texts
 
@@ -207,6 +208,34 @@ def test_compare_failing_in_a_later_run_leaves_no_file(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["b.cfg", "out"]
 
 
+def test_compare_exiting_3_keeps_a_users_file(tmp_path, capsys):
+    # ip_heat runs and passes before pi_step fails: its CSV never replaces the user's
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text("noise_std = 1e306\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "ip_heat.csv").write_bytes(b"mine\n")
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "tick 806" in capsys.readouterr().err
+    assert os.listdir(out) == ["ip_heat.csv"]
+    assert (out / "ip_heat.csv").read_bytes() == b"mine\n"
+
+
+def test_compare_interrupted_leaves_out_as_it_was(tmp_path, monkeypatch, default_cfg):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "ip_heat.csv").write_bytes(b"mine\n")
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "write_comparison_txt", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["compare", "--config", default_cfg, "--out", str(out)])
+    assert os.listdir(out) == ["ip_heat.csv"]
+    assert (out / "ip_heat.csv").read_bytes() == b"mine\n"
+
+
 def test_compare_plot_flag(tmp_path, default_cfg):
     out = tmp_path / "cmp"
     assert main(["compare", "--config", default_cfg, "--out", str(out), "--plot"]) == 0
@@ -275,6 +304,19 @@ def test_sweep_leaves_no_child_whatever_its_exit(tmp_path, two_cpus, no_child_le
     assert no_child_left()
     if code:
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_sweep_overflowing_a_plant_parameter_names_its_key_and_factor(tmp_path, capsys, no_child_left):
+    # 1e308 is a valid c_a; the sweep's factor 2 takes it to inf
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("horizon = 600\nplant.c_a = 1e308\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "plant.c_a" in err and "sweep factor 2.0" in err
+    assert os.listdir(out) == []
+    assert no_child_left()
 
 
 def _raise_eagain():
@@ -360,6 +402,48 @@ def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, default_cfg, c
     assert path in err
 
 
+# each command, the names it writes on success, and one of them for a directory to block
+_COMMAND_OUTPUTS = {
+    "run": (["run"], ["metrics.txt", "timeseries.csv"], "timeseries.csv"),
+    "run_plot": (["run", "--plot"], ["metrics.txt", "plot.svg", "timeseries.csv"], "plot.svg"),
+    "compare_plot": (
+        ["compare", "--plot"],
+        sorted(["comparison.txt"] + [name + ext for name, _ in comparison_scenarios(default_scenario()) for ext in (".csv", ".svg")]),
+        "comparison.txt",
+    ),
+    "sweep": (["sweep"], ["sweep.csv"], "sweep.csv"),
+}
+
+
+@pytest.mark.parametrize("command, names, blocked", list(_COMMAND_OUTPUTS.values()), ids=list(_COMMAND_OUTPUTS))
+def test_directory_at_an_output_name_exits_2_and_leaves_out_as_it_was(tmp_path, capsys, default_cfg,
+                                                                        command, names, blocked):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main([*command, "--config", default_cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert repr(blocked) in err and "Traceback" not in err
+    assert os.listdir(out) == [blocked]
+    assert os.listdir(out / blocked) == []
+    # with the name free, the command leaves exactly its own files
+    (out / blocked).rmdir()
+    assert main([*command, "--config", default_cfg, "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == names
+
+
+def test_symlink_at_an_output_name_is_replaced_not_written_through(tmp_path, default_cfg):
+    target = tmp_path / "target.txt"
+    target.write_bytes(b"keep\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "metrics.txt").symlink_to(target)
+    assert main(["run", "--config", default_cfg, "--out", str(out)]) == 0
+    assert not (out / "metrics.txt").is_symlink()
+    assert (out / "metrics.txt").read_text(encoding="utf-8").startswith("rmse = ")
+    assert target.read_bytes() == b"keep\n"
+
+
 def test_diverging_run_exits_3(tmp_path, capsys):
     cfg = tmp_path / "unstable.cfg"
     cfg.write_text(UNSTABLE_CFG, encoding="utf-8")
@@ -419,9 +503,9 @@ def test_extreme_inputs_exit_cleanly(tmp_path, run_python, command, text, code, 
         assert named in proc.stderr
     # a plot that cannot be drawn leaves no file behind
     assert [p.name for p in out.glob("*.svg") if p.stat().st_size == 0] == []
-    if code == 3:
-        # whichever run fails, the command leaves no file behind
-        assert [p.name for p in out.glob("*")] == []
+    if code:
+        # whichever run fails, and however, the command leaves no file behind
+        assert (os.listdir(out) if out.exists() else []) == []
 
 
 def test_module_entry_point_help(run_python):
@@ -442,7 +526,7 @@ _OWN_VALUES = {
     "noise_std": ["1e306"],
     "initial.t_int": ["1e300", "-1e300"],
     "actuator.q_max": ["1e300"],
-    "plant.c_a": ["1e-300"],
+    "plant.c_a": ["1e-300", "1e308"],
 }
 _FLAG_VALUES = {
     "--controller": ["ip", "pi", "flat_p", "flat_pi", "lqr"],
@@ -452,8 +536,27 @@ _FLAG_VALUES = {
 }
 _COMMAND_FLAGS = {"run": [*_FLAG_VALUES, "--plot"], "compare": ["--seed", "--plot"], "sweep": list(_FLAG_VALUES)}
 # where --out points, relative to the example's directory: a fresh path
-# or one that is already there
-_OUT_SHAPES = {"fresh": "o", "nested": "o/a/b", "empty_dir": "o", "file": "file", "under_file": "file/sub", "empty": ""}
+# or one that is already there; "occupied" holds a user's file and a
+# directory named after one of the command's outputs
+_OUT_SHAPES = {"fresh": "o", "nested": "o/a/b", "empty_dir": "o", "occupied": "o", "file": "file",
+               "under_file": "file/sub", "empty": ""}
+_BLOCKED = {"run": "timeseries.csv", "compare": "comparison.txt", "sweep": "sweep.csv"}
+
+
+def _listing(path: str) -> dict[str, bytes | None] | None:
+    """Each entry of the directory at ``path`` with its bytes (None for a
+    directory), or None if ``path`` is no directory."""
+    if not os.path.isdir(path):
+        return None
+    entries = {}
+    for name in os.listdir(path):
+        entry = os.path.join(path, name)
+        if os.path.isdir(entry):
+            entries[name] = None
+        else:
+            with open(entry, "rb") as fh:
+                entries[name] = fh.read()
+    return entries
 
 
 @st.composite
@@ -470,6 +573,9 @@ def command_lines(draw):
 
 @settings(deadline=None, max_examples=100)
 @given(command_lines())
+@example(case=(["run", "--plot"], "horizon = 600\n", "occupied"))
+@example(case=(["compare"], "horizon = 600\n", "occupied"))
+@example(case=(["sweep"], "horizon = 600\n", "occupied"))
 def test_main_exits_0_2_or_3_on_any_command_line(case):
     args, text, shape = case
     err = io.StringIO()
@@ -482,18 +588,23 @@ def test_main_exits_0_2_or_3_on_any_command_line(case):
             fh.write("time,temp\n0, 2.0\n3600, 6.0\n")
         if shape == "empty_dir":
             os.mkdir(os.path.join(tmp, "o"))
+        if shape == "occupied":
+            os.makedirs(os.path.join(tmp, "o", _BLOCKED[args[0]]))
+            with open(os.path.join(tmp, "o", "ip_heat.csv"), "wb") as fh:
+                fh.write(b"mine\n")
         if shape in ("file", "under_file"):
             open(os.path.join(tmp, "file"), "w").close()
         out = os.path.join(tmp, _OUT_SHAPES[shape]) if _OUT_SHAPES[shape] else ""
+        before = _listing(out)
         try:
             code = main([*args, "--config", cfg, "--out", out])
         except SystemExit as exc:    # argparse rejects a flag value
             code = exc.code
-        fresh = shape in ("fresh", "nested")
-        left = os.listdir(out) if fresh and os.path.isdir(out) else []
+        after = _listing(out)
     assert code in (0, 2, 3), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    assert code or shape != "occupied"
     if code:
         assert err.getvalue().startswith(("error:", "usage:"))
-    if code == 3:
-        assert left == []
+        # --out as it was, or created and empty
+        assert after == before or (before is None and after == {})
