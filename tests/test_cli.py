@@ -408,7 +408,8 @@ _COMMAND_OUTPUTS = {
     "run_plot": (["run", "--plot"], ["metrics.txt", "plot.svg", "timeseries.csv"], "plot.svg"),
     "compare_plot": (
         ["compare", "--plot"],
-        sorted(["comparison.txt"] + [name + ext for name, _ in comparison_scenarios(default_scenario()) for ext in (".csv", ".svg")]),
+        sorted(["comparison.txt"] + [name + ext for name, _ in comparison_scenarios(default_scenario())
+                                     for ext in (".csv", ".svg")]),
         "comparison.txt",
     ),
     "sweep": (["sweep"], ["sweep.csv"], "sweep.csv"),
