@@ -23,7 +23,8 @@ the accepted text of each text-valued key to its value.  A ``<field>.kind``
 entry starts that field from its kind's defaults: a flat controller
 models the plant, and a ``table`` profile is loaded from ``t_ext.file``.
 The CLI flags are entries too, applied to a loaded scenario by the same
-walk (:func:`apply_entries`).
+walk (:func:`apply_entries`).  The walk rebuilds each dataclass it meets,
+which checks it; a failed check becomes a ConfigError under its prefix.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def _parse_lines(text: str) -> dict[str, str]:
     return entries
 
 
-def _load_t_ext_table(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _load_t_ext_table(path: str, source: str) -> TableTExt:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             rows = [line.strip() for line in fh]
@@ -172,7 +173,10 @@ def _load_t_ext_table(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
         temps.append(temp)
     if len(times) < 2:
         raise ConfigError(f"t_ext.file {path!r}: need at least two data rows")
-    return tuple(times), tuple(temps)
+    try:
+        return TableTExt(tuple(times), tuple(temps), source=source)
+    except ValueError as exc:    # times that do not increase
+        raise ConfigError(f"t_ext.file {path!r}: {exc}") from None
 
 
 def _start(key: str, kind, entries: dict[str, str], base_dir: str, plant):
@@ -181,7 +185,7 @@ def _start(key: str, kind, entries: dict[str, str], base_dir: str, plant):
         source = entries.pop(f"{key}.file", None)
         if source is None:
             raise ConfigError(f"missing required key {key + '.file'!r}")
-        return TableTExt(*_load_t_ext_table(os.path.join(base_dir, source)), source=source)
+        return _load_t_ext_table(os.path.join(base_dir, source), source)
     return default_controller(kind.kind, plant) if key == "controller" else kind()
 
 
@@ -206,7 +210,7 @@ def _walk(entries: dict[str, str], prefix: str, obj, base_dir: str):
     try:
         return replace(obj, **changes)
     except ValueError as exc:
-        raise ConfigError(f"{prefix}: {exc}") from None
+        raise ConfigError(f"{prefix}: {exc}" if prefix else str(exc)) from None
 
 
 def apply_entries(sc: Scenario, entries: dict[str, str], base_dir: str = ".") -> Scenario:
@@ -217,10 +221,6 @@ def apply_entries(sc: Scenario, entries: dict[str, str], base_dir: str = ".") ->
     sc = _walk(entries, "", sc, base_dir)
     if entries:
         raise ConfigError(f"unknown key(s): {', '.join(repr(k) for k in sorted(entries))}")
-    try:
-        sc.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     return sc
 
 

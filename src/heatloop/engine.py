@@ -29,7 +29,7 @@ import math
 import os
 import pickle
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -143,7 +143,8 @@ class Scenario:
     3600 s setpoint blends, sinusoidal outdoor temperature (mean 5,
     amplitude 5, period 24 h) and 0.05 K measurement noise.  The seed is
     part of the freeze: metrics quoted in the tests assume this exact
-    noise stream."""
+    noise stream.  Construction checks every field and raises ValueError,
+    so every Scenario, default_scenario's and replace's too, is valid."""
 
     horizon: float = 172800.0
     dt: float = 60.0
@@ -161,7 +162,7 @@ class Scenario:
     def num_ticks(self) -> int:
         return round(self.horizon / self.dt)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"horizon must be positive, got {self.horizon!r}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
@@ -261,7 +262,6 @@ def run(scenario: Scenario, noise_source: np.ndarray | None = None) -> Trace:
     noise_std * gaussian_column(rng_seed, num_ticks).
     """
     sc = scenario
-    sc.validate()
     n, dt, cfg = sc.num_ticks, sc.dt, sc.controller
     if noise_source is not None and len(noise_source) != n:
         raise ValueError(f"noise_source has {len(noise_source)} values, the run has {n} ticks")
@@ -270,8 +270,9 @@ def run(scenario: Scenario, noise_source: np.ndarray | None = None) -> Trace:
             noise_source = sc.noise_std * gaussian_column(sc.rng_seed, n) if sc.noise_std > 0.0 else 0.0
         # row j holds field j of Trace, so each column handed out is contiguous
         buf = np.empty((len(Trace._fields), n))
-    except MemoryError:
-        raise ValueError(f"horizon={sc.horizon!r} / dt={dt!r} gives {n} ticks, too many to hold in memory") from None
+    except (MemoryError, ValueError):    # numpy raises ValueError past its largest array
+        # .16g writes a count below 1e16 whole and a larger one in a few digits
+        raise ValueError(f"horizon={sc.horizon!r} / dt={dt!r} gives {n:.16g} ticks, too many to hold in memory") from None
 
     # the inputs: every row the loop reads is filled before it starts
     t, _, noise, _, t_ext, y_star, y_star_dot, _, _, f_row = buf
@@ -354,10 +355,11 @@ class Metrics:
     control_variation: float
     saturation_fraction: float
 
-    FIELDS = ("rmse", "max_abs_error", "energy", "cooling_energy", "control_variation", "saturation_fraction")
-
     def as_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in Metrics.FIELDS}
+
+
+Metrics.FIELDS = tuple(f.name for f in fields(Metrics))
 
 
 def compute_metrics(trace: Trace) -> Metrics:

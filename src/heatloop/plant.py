@@ -54,8 +54,6 @@ class ThermalParams:
         the heater gain 1/c_a, so this is the same plant with its heater
         gain divided by ``factor``: its time constants do not change.
         """
-        if not factor > 0.0:
-            raise ValueError(f"scale factor must be positive, got {factor!r}")
         return replace(self, **{name: getattr(self, name) * factor for name in PARAMETERS})
 
 

@@ -462,6 +462,9 @@ EXTREME_INPUTS = {
     "tick_count_overflow": ("horizon = 1e308\ndt = 1e-10\n", 2, "horizon"),
     # 80 PB of trace: beyond any address space, so no overcommit hides it
     "unallocatable_trace": ("horizon = 1e15\ndt = 1.0\n", 2, "horizon=1000000000000000.0 / dt=1.0 gives 1000000000000000 ticks"),
+    # past numpy's largest array, from the noise draw or, without noise, the trace buffer
+    "oversized_trace": ("horizon = 1e300\n", 2, "horizon=1e+300 / dt=60.0 gives 1.666666666666667e+298 ticks"),
+    "oversized_trace_no_noise": ("horizon = 1e300\nnoise_std = 0\n", 2, "horizon=1e+300 / dt=60.0 gives 1.666666666666667e+298 ticks"),
     "metric_overflow": ("initial.t_int = 1e300\n", 3, "rmse"),
     # t / 3600 underflows to 0 on both ticks: the plot's time axis collapses
     "collapsed_time_axis": ("dt = 5e-324\nhorizon = 1e-323\n", 0, None),

@@ -365,6 +365,15 @@ def test_table_file_bad_number_mid_file(tmp_path):
         load_scenario(str(cfg))
 
 
+def test_table_file_times_not_increasing_names_the_file(tmp_path):
+    table = tmp_path / "w.csv"
+    table.write_text("0,1\n0,2\n", encoding="utf-8")
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("t_ext.kind = table\nt_ext.file = w.csv\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"t_ext\.file '.*w\.csv': .*increasing"):
+        load_scenario(str(cfg))
+
+
 def test_absolute_table_path_ignores_base_dir(tmp_path):
     table = tmp_path / "abs.csv"
     table.write_text("0,1.0\n10,2.0\n", encoding="utf-8")
@@ -373,7 +382,7 @@ def test_absolute_table_path_ignores_base_dir(tmp_path):
 
 
 def test_validation_failures_become_config_errors():
-    with pytest.raises(ConfigError, match="noise_std"):
+    with pytest.raises(ConfigError, match="^noise_std must be"):
         parse_scenario("noise_std = -1\n")
     with pytest.raises(ConfigError, match="horizon"):
         parse_scenario("horizon = -3600\n")

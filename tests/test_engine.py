@@ -150,7 +150,6 @@ def test_table_column_equals_at_every_tick(table_and_times):
 
 def test_default_scenario_is_valid():
     sc = default_scenario()
-    sc.validate()
     assert sc.num_ticks == 2880
 
 
@@ -170,18 +169,23 @@ def test_default_scenario_is_valid():
 )
 def test_scenario_validation_rejects(replacements, match):
     with pytest.raises(ValueError, match=match):
-        default_scenario(**replacements).validate()
+        default_scenario(**replacements)
 
 
 def test_scenario_rejects_schedule_starting_late():
     sched = Schedule(segments=((100.0, 16.0),), transition_duration=10.0)
     with pytest.raises(ValueError, match="start"):
-        default_scenario(schedule=sched).validate()
+        default_scenario(schedule=sched)
 
 
 def test_scenario_rejects_unknown_controller():
     with pytest.raises(ValueError, match="controller"):
-        default_scenario(controller=object()).validate()
+        default_scenario(controller=object())
+
+
+def test_replace_checks_the_scenario_it_builds():
+    with pytest.raises(ValueError, match="divide"):
+        replace(default_scenario(), dt=7.0)
 
 
 def test_run_validates_scenario():

@@ -26,8 +26,9 @@ def test_params_reject_nonpositive(field, bad):
 def test_params_scaled():
     p = NOMINAL.scaled(2.0)
     assert p == ThermalParams(c_a=2800.0, c_w=4400.0, k_c=2.8, k_f=0.008, k_ext=0.08)
-    with pytest.raises(ValueError):
-        NOMINAL.scaled(0.0)
+    for factor in (0.0, float("nan"), -1.0):
+        with pytest.raises(ValueError):
+            NOMINAL.scaled(factor)
 
 
 def test_derivatives_uniform_equilibrium():
