@@ -12,7 +12,11 @@ least-squares slope over the last ``window_len`` measured values,
 feedforward plus PI otherwise -- clamps it to the actuator bounds,
 integrates the PI error unless the clamp is active, logs the tick and
 advances the plant one RK4 step with the applied heat and the tick's
-outdoor temperature held constant.
+outdoor temperature held constant.  The step is inlined in the loop as
+the affine map :func:`~heatloop.plant.rk4_map` builds once per run, on
+the state's deviation from the outdoor temperature.  A scenario whose
+tick is past RK4's stability limit for its plant is refused when it is
+built.
 
 Runs are deterministic: the measurement noise comes from the seeded
 counter-mode stream in :mod:`heatloop.noise`, so identical scenarios
@@ -46,7 +50,16 @@ from .controllers import (
 )
 from .estimation import estimate_F, slope_scale
 from .noise import gaussian_column
-from .plant import NOMINAL, PARAMETERS, ThermalParams, ThermalState, rk4_stepper, wall_equilibrium
+from .plant import (
+    NOMINAL,
+    PARAMETERS,
+    RK4_STABILITY,
+    ThermalParams,
+    ThermalState,
+    fastest_rate,
+    rk4_map,
+    wall_equilibrium,
+)
 from .reference import MODES, Schedule, fill_reference
 
 
@@ -167,6 +180,11 @@ class Scenario:
             raise ValueError(f"horizon must be positive, got {self.horizon!r}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive, got {self.dt!r}")
+        rate = fastest_rate(self.plant)
+        if not self.dt * rate <= RK4_STABILITY:
+            # past it RK4 amplifies the fast mode every tick and the run diverges
+            limit = RK4_STABILITY / rate
+            raise ValueError(f"dt={self.dt!r} is past the RK4 stability limit of {limit:.6g} s for this plant")
         if not math.isfinite(self.horizon / self.dt):
             raise ValueError(f"horizon={self.horizon!r} / dt={self.dt!r} overflows the tick count")
         n = self.num_ticks
@@ -302,7 +320,7 @@ def run(scenario: Scenario, noise_source: np.ndarray | None = None) -> Trace:
         f_row[:] = flat_feedforward(y_star, y_star_dot, cfg.model)
 
     # the loop: the control law and the plant state
-    step = rk4_stepper(sc.plant, dt)
+    m11, m12, m21, m22, g_i, g_w = rk4_map(sc.plant, dt)
     q_lo, q_hi = sc.actuator.bounds
     isfinite = math.isfinite
     # the measured row holds the noise until its tick overwrites it; the
@@ -340,7 +358,11 @@ def run(scenario: Scenario, noise_source: np.ndarray | None = None) -> Trace:
         W[k] = tw
         QC[k] = q_command
         QA[k] = q_applied
-        ti, tw = step(ti, tw, q_applied, TE[k])
+        # the RK4 step, in deviations from the tick's outdoor temperature
+        te = TE[k]
+        di, dw = ti - te, tw - te
+        ti += m11 * di + m12 * dw + g_i * q_applied
+        tw += m21 * di + m22 * dw + g_w * q_applied
         if not (isfinite(ti) and isfinite(tw)):
             raise SimulationError(f"non-finite plant state at tick {k} (t={T[k]})")
     return Trace(*buf[:-1], f_row if ip else None)

@@ -14,18 +14,20 @@ default, which is what this model deliberately reproduces.  Set
 instead; everything downstream (integrators, equilibria) follows the
 flag automatically.
 
-The engine steps the model with :func:`rk4_stepper`, classical RK4 on
-bare floats with q and t_ext held over the step.  For piecewise-constant
-inputs the model is affine LTI (:func:`system_matrices`), so each hold
-interval also has a closed-form solution; the tests keep it as the
-oracle that the integrator is checked against.
+:func:`system_matrices` is the one statement of the model: x' = A x + b,
+affine LTI for inputs held over a tick.  The engine steps it with
+classical RK4, q and t_ext held over the step, which on this model is
+the affine map :func:`rk4_map` builds once per run from A: six
+multiplies on bare floats per tick.  RK4 is stable only while
+``dt * fastest_rate(params) <= RK4_STABILITY``.  Each hold interval also
+has a closed-form solution; the tests keep it, with the four-stage form
+of RK4, as the oracles that the map is checked against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 PARAMETERS = ("c_a", "c_w", "k_c", "k_f", "k_ext")    # the five physical parameters
 
@@ -68,39 +70,54 @@ class ThermalState:
     t_wall: float
 
 
-def rk4_stepper(params: ThermalParams, dt: float) -> Callable[[float, float, float, float], tuple[float, float]]:
-    """``step(t_int, t_wall, q, t_ext) -> (t_int, t_wall)``: one classical
-    Runge-Kutta step of length ``dt`` of the model with ``params``, with
-    ``q`` and ``t_ext`` held constant over the step (zero-order hold).
+# RK4 is stable for dt*lambda on [-RK4_STABILITY, 0], where R(z) = 1 + z + z²/2 + z³/6 + z⁴/24 is at most 1
+RK4_STABILITY = 2.785293563405282
 
-    The coefficient quotients and step fractions are computed once per
-    stepper; the tests hold each step bit for bit to the same scheme
-    written on :class:`ThermalState`.
+
+def fastest_rate(params: ThermalParams) -> float:
+    """The spectral radius of the system matrix A in 1/s: the magnitude of
+    the model's faster eigenvalue.  RK4 stays stable on this model for
+    ``dt * fastest_rate(params) <= RK4_STABILITY``."""
+    (a11, a12, a21, a22), _ = system_matrices(params)
+    # a12*a21 > 0, so both eigenvalues are real, and both are negative: the
+    # faster is (tr - sqrt(disc)) / 2, its root split so that it cannot overflow
+    return 0.5 * (math.hypot(a11 - a22, 2.0 * math.sqrt(a12) * math.sqrt(a21)) - (a11 + a22))
+
+
+def rk4_map(params: ThermalParams, dt: float) -> tuple[float, float, float, float, float, float]:
+    """``(m11, m12, m21, m22, g_i, g_w)``: one classical Runge-Kutta step of
+    length ``dt`` of the model with ``params``, with ``q`` and ``t_ext``
+    held constant over the step (zero-order hold), as the affine map that
+    RK4 is on this linear model.  In deviations from the outdoor
+    temperature, ``di = t_int - t_ext`` and ``dw = t_wall - t_ext``, the
+    step is
+
+        t_int  += m11*di + m12*dw + g_i*q
+        t_wall += m21*di + m22*dw + g_w*q
+
+    with M = R(Z) - I = Z + Z²/2 + Z³/6 + Z⁴/24 and (g_i, g_w) the first
+    column of dt S(Z) b_q, S(Z) = I + Z/2 + Z²/6 + Z³/24, for Z = dt A.
+    t_ext drops out because A (1, 1) = -(b_f, b_w): a uniform temperature
+    with no heat is the model's rest point, and the step keeps it bit for
+    bit.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    p = params
-    c_a = p.c_a
-    a_ic, a_if = p.k_c / c_a, p.k_f / c_a
-    a_wc, a_we = p.k_c / p.c_w, p.k_ext / (p.c_w if p.wall_denominator_cw else c_a)
-    half, sixth = 0.5 * dt, dt / 6.0
-
-    def step(ti: float, tw: float, q: float, te: float) -> tuple[float, float]:
-        q_a = q / c_a
-        d1 = q_a - a_ic * (ti - tw) - a_if * (ti - te)
-        w1 = a_wc * (ti - tw) - a_we * (tw - te)
-        i2, x2 = ti + half * d1, tw + half * w1
-        d2 = q_a - a_ic * (i2 - x2) - a_if * (i2 - te)
-        w2 = a_wc * (i2 - x2) - a_we * (x2 - te)
-        i3, x3 = ti + half * d2, tw + half * w2
-        d3 = q_a - a_ic * (i3 - x3) - a_if * (i3 - te)
-        w3 = a_wc * (i3 - x3) - a_we * (x3 - te)
-        i4, x4 = ti + dt * d3, tw + dt * w3
-        d4 = q_a - a_ic * (i4 - x4) - a_if * (i4 - te)
-        w4 = a_wc * (i4 - x4) - a_we * (x4 - te)
-        return ti + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4), tw + sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
-
-    return step
+    (a11, a12, a21, a22), (b_q, _, _) = system_matrices(params)
+    z11, z12, z21, z22 = dt * a11, dt * a12, dt * a21, dt * a22
+    # Z², Z³ and Z⁴, one row-major 2x2 product at a time
+    y11, y12, y21, y22 = z11 * z11 + z12 * z21, z11 * z12 + z12 * z22, z21 * z11 + z22 * z21, z21 * z12 + z22 * z22
+    x11, x12, x21, x22 = y11 * z11 + y12 * z21, y11 * z12 + y12 * z22, y21 * z11 + y22 * z21, y21 * z12 + y22 * z22
+    w11, w12, w21, w22 = x11 * z11 + x12 * z21, x11 * z12 + x12 * z22, x21 * z11 + x22 * z21, x21 * z12 + x22 * z22
+    h = dt * b_q
+    return (
+        z11 + y11 / 2.0 + x11 / 6.0 + w11 / 24.0,
+        z12 + y12 / 2.0 + x12 / 6.0 + w12 / 24.0,
+        z21 + y21 / 2.0 + x21 / 6.0 + w21 / 24.0,
+        z22 + y22 / 2.0 + x22 / 6.0 + w22 / 24.0,
+        h * (1.0 + z11 / 2.0 + y11 / 6.0 + x11 / 24.0),
+        h * (z21 / 2.0 + y21 / 6.0 + x21 / 24.0),
+    )
 
 
 def system_matrices(params: ThermalParams = NOMINAL) -> tuple[tuple[float, float, float, float], tuple[float, float, float]]:

@@ -3,11 +3,14 @@
 Each layer's fast path in ``heatloop`` is checked against a plainer
 implementation of the same thing, kept here because no command runs it:
 
-* plant: ``step_rk4``, one RK4 step on a :class:`ThermalState`, and
-  ``exact_step``, the closed-form solution of the affine LTI model for
-  held inputs through the eigendecomposition of its 2x2 system matrix;
-  ``rk4_stepper``'s closure must equal ``step_rk4`` bit for bit, and
-  ``step_rk4`` must agree with ``exact_step`` to its order;
+* plant: ``step_rk4``, one four-stage RK4 step on a
+  :class:`ThermalState`, and ``exact_step``, the closed-form solution of
+  the affine LTI model for held inputs through the eigendecomposition of
+  its 2x2 system matrix; the step of ``rk4_map``'s affine map must agree
+  with ``step_rk4`` to rounding, and both with ``exact_step`` to RK4's
+  order.  ``map_step`` applies the map to a :class:`ThermalState` in the
+  tick loop's order of operations, so that the loop can be held to a
+  per-tick composition bit for bit;
 * reference: the per-instant generators ``step_reference``,
   ``smooth_reference`` and ``ramp_reference``, which ``fill_reference``
   must equal at every tick;
@@ -59,6 +62,15 @@ def step_rk4(state: ThermalState, q: float, t_ext: float, dt: float, params: The
         ti + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
         tw + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
     )
+
+
+def map_step(state: ThermalState, q: float, t_ext: float,
+             coefficients: tuple[float, float, float, float, float, float]) -> ThermalState:
+    """One step of ``rk4_map``'s affine map on a :class:`ThermalState`, in
+    the tick loop's order of operations."""
+    m11, m12, m21, m22, g_i, g_w = coefficients
+    di, dw = state.t_int - t_ext, state.t_wall - t_ext
+    return ThermalState(state.t_int + (m11 * di + m12 * dw + g_i * q), state.t_wall + (m21 * di + m22 * dw + g_w * q))
 
 
 def equilibrium(q: float, t_ext: float, params: ThermalParams = NOMINAL) -> ThermalState:

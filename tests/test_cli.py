@@ -476,6 +476,10 @@ EXTREME_INPUTS = {
         None,
     ),
     "one_tick": ("horizon = 60\n", 2, "horizon=60.0 / dt=60.0 gives 1 tick"),
+    # RK4 diverges on the nominal plant past 1688.76 s: a finite rmse of 1.27e9 K before it was refused
+    "rk4_unstable_dt": ("dt = 1800\n", 2, "dt=1800.0 is past the RK4 stability limit of 1688.76 s"),
+    # the air node's time constant shrinks to 1e-300 s, far below any tick
+    "tiny_air_capacity": ("plant.c_a = 1e-300\n", 2, "dt=60.0 is past the RK4 stability limit"),
 }
 
 # the plain run keeps the bare case ids
@@ -526,7 +530,7 @@ def test_module_entry_point_help(run_python):
 # non-finite value
 _OWN_VALUES = {
     "horizon": ["120", "600", "3600", "7200"] * 3 + ["0", "-60", "nan", "inf", "1e15", "1e308", "abc"],
-    "dt": ["60", "30"] * 4 + ["7", "0", "nan", "1e-300", "5e-324", "abc"],
+    "dt": ["60", "30"] * 4 + ["7", "0", "nan", "1e-300", "5e-324", "1800", "abc"],
     "noise_std": ["1e306"],
     "initial.t_int": ["1e300", "-1e300"],
     "actuator.q_max": ["1e300"],

@@ -42,9 +42,9 @@ from heatloop.engine import (
     transition_spans,
 )
 from heatloop.estimation import estimate_F
-from heatloop.plant import NOMINAL, ThermalState
+from heatloop.plant import NOMINAL, ThermalState, rk4_map
 from heatloop.reference import Schedule
-from oracles import REFERENCE_GENERATORS, SlopeEstimator, derivatives, gaussian, step_rk4
+from oracles import REFERENCE_GENERATORS, SlopeEstimator, derivatives, gaussian, map_step
 
 
 FLAT_SCHEDULE = Schedule(segments=((0.0, 16.0),), transition_duration=3600.0)
@@ -165,6 +165,12 @@ def test_default_scenario_is_valid():
         ({"initial": ThermalState(float("nan"), 14.0)}, "initial"),
         ({"rng_seed": 1.5}, "rng_seed"),
         ({"horizon": 60.0}, "at least 2"),
+        ({"dt": -60.0}, "dt"),
+        # the default plant's fast pole makes RK4 diverge past 1688.76 s
+        ({"dt": 1800.0}, r"dt=1800.0 is past the RK4 stability limit of 1688.76 s"),
+        ({"plant": replace(NOMINAL, c_a=1e-300)}, "dt=60.0 is past the RK4 stability limit"),
+        # k_c / c_a overflows, so the fast rate is infinite
+        ({"plant": replace(NOMINAL, c_a=1e-310)}, "dt=60.0 is past the RK4 stability limit"),
     ],
 )
 def test_scenario_validation_rejects(replacements, match):
@@ -186,11 +192,6 @@ def test_scenario_rejects_unknown_controller():
 def test_replace_checks_the_scenario_it_builds():
     with pytest.raises(ValueError, match="divide"):
         replace(default_scenario(), dt=7.0)
-
-
-def test_run_validates_scenario():
-    with pytest.raises(ValueError):
-        run(default_scenario(dt=-60.0))
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +570,7 @@ def reference_run(sc: Scenario) -> Trace:
     draw, ``t_ext.at``, the reference generator, SlopeEstimator with
     estimate_F and ip_control, or flat_feedforward plus pi_control, the
     clamp to ActuatorMode.bounds, the integral frozen while the clamp is
-    active, and step_rk4."""
+    active, and rk4_map's coefficients applied to a ThermalState."""
     cfg, dt = sc.controller, sc.dt
     ip = isinstance(cfg, IpController)
     if ip:
@@ -579,6 +580,7 @@ def reference_run(sc: Scenario) -> Trace:
         model, e_integral = getattr(cfg, "model", None), 0.0
     generator = REFERENCE_GENERATORS[sc.reference_mode]
     lo, hi = sc.actuator.bounds
+    step = rk4_map(sc.plant, dt)
     state, rows = sc.initial, []
     for k in range(sc.num_ticks):
         t = k * dt
@@ -603,7 +605,7 @@ def reference_run(sc: Scenario) -> Trace:
         elif q_applied == q_command:
             e_integral = candidate
         rows.append((t, state.t_int, y_meas, state.t_wall, t_ext, y_star, y_star_dot, q_command, q_applied, f_estim))
-        state = step_rk4(state, q_applied, t_ext, dt, sc.plant)
+        state = map_step(state, q_applied, t_ext, step)
     columns = [np.array(column) for column in zip(*rows)]
     return Trace(*columns[:-1], columns[-1] if ip else None)
 

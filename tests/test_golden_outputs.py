@@ -17,7 +17,7 @@ GOLDEN = {
     ("compare", 63, "comparison.txt"): "b35faa36c08c0f8d2d2822a312b06d8166cf5ac69ed3ebe9949937f815a1fb9a",
     ("compare", 63, "flat_p.csv"): "555a936c6a3d2a1aee7dc7d9151e13cf0528339a5d0570e0130d9a53aed2a6d7",
     ("compare", 63, "flat_p.svg"): "521bf92856f5370427939937495683ab7165010fae794091dd3f1720bafad5af",
-    ("compare", 63, "flat_pi_fast.csv"): "6521b9e9a3169e6f8a0a1cfccdb864e2d911d5afed70f7cb48369e1236ca16b7",
+    ("compare", 63, "flat_pi_fast.csv"): "a6b992fb8dfe095c1452d4b705f66a7de6fa868f414aa7cb5c79a23d88817d68",
     ("compare", 63, "flat_pi_fast.svg"): "690a50653085553b2c405859cefb628d550c8af15d8b65439406c0b0ee6ae87b",
     ("compare", 63, "flat_pi_slow.csv"): "3692048af8609707c297482db6741996b97eabd59e587b0f05da933736e2061b",
     ("compare", 63, "flat_pi_slow.svg"): "586ce456d8f3093ab3cb4c3cdfc1254decb5f7d4bc2e4ae6c2116ec12c4bd334",
@@ -31,7 +31,7 @@ GOLDEN = {
     ("compare", 63, "pi_step.svg"): "cce0222b04ab2205789b4f4f5ad3ec22a4d67c89ebd9df3f3dd9172a0eaf0fe6",
     ("sweep", 63, "sweep.csv"): "c19c695a18657bf6236f60a9be72a3fe3777daefc6d753085e493c83f6066ac0",
     ("compare", 64, "comparison.txt"): "fdf4b3dabe726ed3b7ad793db472a744fc6bf073afd468e96afa12a14b0d12de",
-    ("compare", 64, "flat_p.csv"): "539742b14b09ec619ce85919d288c3792cecb42a3353cf2d564db317fcfbf672",
+    ("compare", 64, "flat_p.csv"): "c085101542e809c879bd02479de02f047af6fbf20c8bbf69df7e34993c0052c5",
     ("compare", 64, "flat_p.svg"): "c16aed4fbb3ff39faa6cee805a0b87f0f07573a7b69c1b483886fb849330e0b4",
     ("compare", 64, "flat_pi_fast.csv"): "05a49932500420744cc92e398fc86e73add9e68d44da69b25ba16bc5b5b91506",
     ("compare", 64, "flat_pi_fast.svg"): "f33515cab94a03ab86abfd935decf03f4033929f8912c227d5de0d6f823a9164",
@@ -93,7 +93,7 @@ FLAG_CASES = {
 FLAG_GOLDEN = {
     ("run_flat_pi_step_heat", "metrics.txt"): "dbab74aaf3f8fb3f01459eb9e3b329688349e6e57b3ec57a31cae4149e616411",
     ("run_flat_pi_step_heat", "plot.svg"): "79096256a3b0650dc6474b47a200c90a9e3c7c94b93dfd752877bdb2410a237f",
-    ("run_flat_pi_step_heat", "timeseries.csv"): "615205d238aca564ee12c4cd9ac520414b0e56e155ca4c025a94199115220a50",
+    ("run_flat_pi_step_heat", "timeseries.csv"): "7501b0945359d8505fa05c013ac6711581d0b7fb94d38f7f70681a42bb2a8b6b",
     ("run_ramp_heat_cool", "metrics.txt"): "ecde128f126e32d51244a1d939b046eaa6ae464aa081b0da756a551d9c0067ed",
     ("run_ramp_heat_cool", "plot.svg"): "b47ec117b2937cb69ca417c45b39a43c38a7979c9ab7d1827febf215bf3209b5",
     ("run_ramp_heat_cool", "timeseries.csv"): "d6a5d7c5b255481304b8df3370796232a946a8f17ce228fb086e783d1525e2fe",

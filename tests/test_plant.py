@@ -7,8 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from pytest import approx
 
-from heatloop.plant import NOMINAL, ThermalParams, ThermalState, rk4_stepper, system_matrices, wall_equilibrium
-from oracles import derivatives, equilibrium, exact_step, propagator, step_rk4
+from heatloop.plant import (
+    NOMINAL,
+    RK4_STABILITY,
+    ThermalParams,
+    ThermalState,
+    fastest_rate,
+    rk4_map,
+    system_matrices,
+    wall_equilibrium,
+)
+from oracles import derivatives, equilibrium, exact_step, map_step, propagator, step_rk4
 
 
 def test_params_defaults():
@@ -277,10 +286,9 @@ def test_nominal_eigenvalues_frozen():
 
 
 # ---------------------------------------------------------------------------
-# the engine's stepper, checked against step_rk4 bit for bit
+# the engine's step, rk4_map's affine map, checked against step_rk4
 
-# log-uniform, so that the coefficient quotients span many magnitudes;
-# with uniform draws a reordered division hardly ever shows in the result
+# log-uniform, so that the coefficients span many magnitudes
 positive = st.floats(-7.0, 11.5).map(math.exp)
 temperature = st.floats(-1e3, 1e3)
 
@@ -291,11 +299,31 @@ def plant_params(draw):
                          k_ext=draw(positive), wall_denominator_cw=draw(st.booleans()))
 
 
+@st.composite
+def stable_steps(draw):
+    """A plant and a tick with dt * rho(A) <= 2.7, inside RK4's stability interval."""
+    params = draw(plant_params())
+    return params, 2.7 / fastest_rate(params) * math.exp(-draw(st.floats(0.0, 16.0)))
+
+
 @settings(deadline=None, max_examples=500)
-@given(plant_params(), st.floats(-7.0, 9.0).map(math.exp), temperature, temperature, st.floats(-1e5, 1e5), temperature)
-def test_rk4_stepper_matches_step_rk4(params, dt, t_int, t_wall, q, t_ext):
+@given(stable_steps(), temperature, temperature, st.floats(-1e5, 1e5), temperature)
+def test_rk4_map_step_matches_step_rk4(step, t_int, t_wall, q, t_ext):
+    # the same polynomial in dt*A as the stage form, rounded in another order
+    params, dt = step
+    got = map_step(ThermalState(t_int, t_wall), q, t_ext, rk4_map(params, dt))
     want = step_rk4(ThermalState(t_int, t_wall), q, t_ext, dt, params)
-    assert rk4_stepper(params, dt)(t_int, t_wall, q, t_ext) == (want.t_int, want.t_wall)
+    bound = 1e-13 * (abs(t_int) + abs(t_wall) + abs(t_ext) + dt * abs(q) / params.c_a)
+    assert abs(got.t_int - want.t_int) <= bound
+    assert abs(got.t_wall - want.t_wall) <= bound
+
+
+@settings(deadline=None, max_examples=500)
+@given(stable_steps(), temperature, st.sampled_from([0.0, -0.0]))
+def test_rk4_map_keeps_the_rest_point_exactly(step, t, q):
+    # a uniform temperature with no heat is where the deviations are zero
+    params, dt = step
+    assert map_step(ThermalState(t, t), q, t, rk4_map(params, dt)) == ThermalState(t, t)
 
 
 room = st.floats(-10.0, 40.0)
@@ -305,12 +333,26 @@ room = st.floats(-10.0, 40.0)
 @given(st.booleans(), st.floats(0.1, 10.0), room, room, st.floats(-2000.0, 2000.0), room)
 def test_uniform_scaling_only_divides_the_heater_gain(wall_denominator_cw, factor, t_int, t_wall, q, t_ext):
     # every coefficient of the step is a ratio of two parameters except
-    # q / c_a, so sweep's scaled plant is the nominal one driven by q / factor
-    p = ThermalParams(wall_denominator_cw=wall_denominator_cw)
-    scaled = rk4_stepper(p.scaled(factor), 60.0)(t_int, t_wall, q, t_ext)
-    assert scaled == approx(rk4_stepper(p, 60.0)(t_int, t_wall, q / factor, t_ext), rel=0.0, abs=1e-12)
+    # the heater gain 1/c_a, so sweep's scaled plant is the nominal one
+    # driven by q / factor
+    p, state = ThermalParams(wall_denominator_cw=wall_denominator_cw), ThermalState(t_int, t_wall)
+    scaled = map_step(state, q, t_ext, rk4_map(p.scaled(factor), 60.0))
+    nominal = map_step(state, q / factor, t_ext, rk4_map(p, 60.0))
+    assert scaled.t_int == approx(nominal.t_int, rel=0.0, abs=1e-12)
+    assert scaled.t_wall == approx(nominal.t_wall, rel=0.0, abs=1e-12)
 
 
-def test_rk4_stepper_rejects_bad_dt():
+def test_rk4_map_rejects_bad_dt():
     with pytest.raises(ValueError):
-        rk4_stepper(NOMINAL, 0.0)
+        rk4_map(NOMINAL, 0.0)
+
+
+def test_fastest_rate_is_the_spectral_radius():
+    rng = random.Random(21)
+    for params in [NOMINAL, ThermalParams(wall_denominator_cw=True)] + [
+            ThermalParams(*(math.exp(rng.uniform(-7.0, 11.5)) for _ in range(5))) for _ in range(50)]:
+        (a11, a12, a21, a22), _ = system_matrices(params)
+        tr, det = a11 + a22, a11 * a22 - a12 * a21
+        assert fastest_rate(params) == approx(0.5 * (math.sqrt(tr * tr - 4.0 * det) - tr), rel=1e-9)
+    # the nominal plant's fast pole bounds RK4's tick at 1688.76 s
+    assert RK4_STABILITY / fastest_rate(NOMINAL) == approx(1688.7556, abs=1e-4)
