@@ -1,18 +1,26 @@
-"""Controller configurations and their two control laws.
+"""Controller configurations: their gains, defaults and pole placement.
 
 Four controller kinds share two laws.  ``ip`` is the model-free
-intelligent-P law (:func:`ip_control`).  The other three are one law,
-a feedforward plus a PI corrector (:func:`pi_control`): ``pi`` has no
-feedforward, while ``flat_p`` and ``flat_pi`` add the flatness
-feedforward of their plant model and place the corrector gains from a
-requested closed-loop pole (``flat_p`` with k_i = 0).
+intelligent-P law,
+
+    u = -(F_estim - y_star_dot - k_p*e) / alpha.
+
+The other three are one law, a feedforward plus a PI corrector,
+
+    q = q_star + (k_p*e + k_i*integral(e)):
+
+``pi`` has no feedforward, while ``flat_p`` and ``flat_pi`` add the
+flatness feedforward of their plant model (:func:`flat_feedforward`)
+and place the corrector gains from a requested closed-loop pole
+(``flat_p`` with k_i = 0).  Both laws are written out in the engine's
+tick loop, with the integrator and estimator state; the tests hold the
+loop to the laws as plain functions, kept in their oracles.
 
 All controllers share the error convention e = y - y_star, so the usual
 gains come out negative (too cold means e < 0 and the heat command must
-rise).  The laws are pure functions; integrator and estimator state
-lives in the engine's tick loop.  Each controller default is
-written once, in its dataclass below; :func:`default_controller` hands
-the same defaults to config parsing, the CLI and the sweep.
+rise).  Each controller default is written once, in its dataclass below;
+:func:`default_controller` hands the same defaults to config parsing,
+the CLI and the sweep.
 """
 
 from __future__ import annotations
@@ -105,16 +113,6 @@ def default_controller(kind: str, plant: ThermalParams) -> ControllerConfig:
     """The default controller of ``kind``; a flat controller models ``plant``."""
     cls = CONTROLLERS[kind]
     return cls(model=plant) if "model" in cls.__dataclass_fields__ else cls()
-
-
-def ip_control(f_estim: float, y_star_dot: float, e: float, cfg: IpController) -> float:
-    """u = -(F_estim - y_star_dot - k_p*e) / alpha."""
-    return -(f_estim - y_star_dot - cfg.k_p * e) / cfg.alpha
-
-
-def pi_control(e: float, e_integral: float, cfg: PiController) -> float:
-    """q = k_p*e + k_i*integral(e)."""
-    return cfg.k_p * e + cfg.k_i * e_integral
 
 
 def flat_feedforward(y_star: float, y_star_dot: float, params: ThermalParams) -> float:

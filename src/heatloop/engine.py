@@ -5,18 +5,26 @@ only on the tick index, as a whole column: time, outdoor temperature,
 reference, measurement noise and, for the feedforward-plus-PI law, the
 feedforward (zero for ``pi``, the flatness feedforward of the model for
 ``flat_p`` and ``flat_pi``), kept in the ``f_estim`` row that these
-kinds do not return.  One tick loop then serves both control laws and
-holds only what depends on the state.  Each tick samples the measured
-output (true plus noise), computes the heat command -- iP from the
-least-squares slope over the last ``window_len`` measured values,
-feedforward plus PI otherwise -- clamps it to the actuator bounds,
-integrates the PI error unless the clamp is active, logs the tick and
-advances the plant one RK4 step with the applied heat and the tick's
-outdoor temperature held constant.  The step is inlined in the loop as
-the affine map :func:`~heatloop.plant.rk4_map` builds once per run, on
-the state's deviation from the outdoor temperature.  A scenario whose
-tick is past RK4's stability limit for its plant is refused when it is
-built.
+kinds do not return.  The standard-normal noise column and the block of
+time, outdoor temperature and reference are memoised per process, a
+few entries each, since a comparison's and a sweep's runs repeat them:
+a run copies them into its own rows, so its Trace never shares their
+memory.  One tick loop then serves both control laws and holds only
+what depends on the state, with no function call per tick.  Each tick
+samples the measured output (true plus noise), computes the heat
+command -- the iP law on the least-squares slope over the last
+``window_len`` measured values, or feedforward plus PI -- clamps it to
+the actuator bounds, integrates the PI error unless the clamp is active,
+logs the tick and advances the plant one RK4 step with the applied heat
+and the tick's outdoor temperature held constant.  The laws are written
+out in the loop, and the step is the affine map
+:func:`~heatloop.plant.rk4_map` builds once per run, on the state's
+deviation from the outdoor temperature.  Float arithmetic in the loop
+cannot raise, so a NaN or an infinity runs on to the end; the logged
+rows are checked once after the loop, and SimulationError names the
+first tick whose controller value or plant state is not finite.  A
+scenario whose tick is past RK4's stability limit for its plant is
+refused when it is built.
 
 Runs are deterministic: the measurement noise comes from the seeded
 counter-mode stream in :mod:`heatloop.noise`, so identical scenarios
@@ -33,6 +41,7 @@ import math
 import os
 import pickle
 from bisect import bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Union
 
@@ -45,10 +54,8 @@ from .controllers import (
     IpController,
     PiController,
     flat_feedforward,
-    ip_control,
-    pi_control,
 )
-from .estimation import estimate_F, slope_scale
+from .estimation import slope_scale
 from .noise import gaussian_column
 from .plant import (
     NOMINAL,
@@ -182,9 +189,14 @@ class Scenario:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         rate = fastest_rate(self.plant)
         if not self.dt * rate <= RK4_STABILITY:
-            # past it RK4 amplifies the fast mode every tick and the run diverges
-            limit = RK4_STABILITY / rate
-            raise ValueError(f"dt={self.dt!r} is past the RK4 stability limit of {limit:.6g} s for this plant")
+            # past it RK4 amplifies the fast mode every tick and the run diverges;
+            # the capacities set how fast that mode is, so the message names them
+            capacities = f"plant.c_a = {self.plant.c_a!r}, plant.c_w = {self.plant.c_w!r}"
+            if math.isinf(rate):
+                raise ValueError(f"dt={self.dt!r} is past the RK4 stability limit for this plant: "
+                                 f"its fastest rate rho(A) overflows ({capacities})")
+            raise ValueError(f"dt={self.dt!r} is past the RK4 stability limit of {RK4_STABILITY / rate:.6g} s "
+                             f"for this plant, whose fastest time constant 1/rho(A) is {1.0 / rate:.6g} s ({capacities})")
         if not math.isfinite(self.horizon / self.dt):
             raise ValueError(f"horizon={self.horizon!r} / dt={self.dt!r} overflows the tick count")
         n = self.num_ticks
@@ -272,6 +284,60 @@ def _fill_t_ext(profile: TExtProfile, t: np.ndarray, out: np.ndarray) -> None:
                 w += upper
 
 
+# Per-process memos of the columns that depend on the tick index only,
+# most recently used last.  Their arrays refuse writes, and a run copies
+# them into rows of its own, so no Trace shares their memory.  Between
+# runs they keep at most 17 columns of the latest runs alive: one noise
+# column and four blocks of four.
+_NOISE_MEMO: OrderedDict = OrderedDict()    # (rng_seed, n) -> the standard-normal column
+_BLOCK_MEMO: OrderedDict = OrderedDict()    # repr of (n, dt, t_ext, schedule, mode) -> (t, t_ext, y_star, y_star_dot)
+_NOISE_MEMO_SIZE = 1        # a sweep's and a comparison's runs share one seed
+_BLOCK_MEMO_SIZE = 4        # a comparison's step and smooth blocks both stay
+
+
+def _memo(cache: OrderedDict, size: int, key, make) -> np.ndarray:
+    """``cache[key]``, made by ``make()`` on a miss, read-only.  The least
+    recently used entries go before a new one is made, so that a miss
+    holds no more than ``size - 1`` old entries alive while it allocates;
+    a hit keeps the stored key and allocates nothing."""
+    value = cache.get(key)
+    if value is None:
+        while len(cache) >= size:
+            cache.popitem(last=False)
+        value = make()
+        value.flags.writeable = False
+        cache[key] = value
+    else:
+        cache.move_to_end(key)
+    return value
+
+
+def _input_block(sc: Scenario, n: int) -> np.ndarray:
+    """The rows (t, t_ext, y_star, y_star_dot) of a run of ``n`` ticks."""
+    block = np.empty((4, n))
+    t, t_ext, y_star, y_star_dot = block
+    t[:] = np.arange(n)
+    t *= sc.dt
+    _fill_t_ext(sc.t_ext, t, t_ext)
+    fill_reference(sc.schedule, sc.reference_mode, t, y_star, y_star_dot)
+    return block
+
+
+def _raise_first_non_finite(buf: np.ndarray, ti: float, tw: float) -> None:
+    """Raise the SimulationError a per-tick check would have raised first:
+    at tick k the controller (the measured value and the command) is
+    checked before the plant state the step of tick k leaves, which is
+    row k + 1 of the state rows or, at the last tick, (ti, tw)."""
+    t, y, m, w, _, _, _, qc = buf[:8]
+    controller = ~(np.isfinite(m) & np.isfinite(qc))
+    plant = np.append(~(np.isfinite(y[1:]) & np.isfinite(w[1:])), not (math.isfinite(ti) and math.isfinite(tw)))
+    k_controller = int(np.argmax(controller)) if controller.any() else len(t)
+    k_plant = int(np.argmax(plant)) if plant.any() else len(t)
+    if k_controller <= k_plant:
+        raise SimulationError(f"non-finite controller value at tick {k_controller} (t={float(t[k_controller])})")
+    raise SimulationError(f"non-finite plant state at tick {k_plant} (t={float(t[k_plant])})")
+
+
 def run(scenario: Scenario, noise_source: np.ndarray | None = None) -> Trace:
     """Simulate one closed-loop run and return its per-tick trace.
 
@@ -284,8 +350,11 @@ def run(scenario: Scenario, noise_source: np.ndarray | None = None) -> Trace:
     if noise_source is not None and len(noise_source) != n:
         raise ValueError(f"noise_source has {len(noise_source)} values, the run has {n} ticks")
     try:
-        if noise_source is None:
-            noise_source = sc.noise_std * gaussian_column(sc.rng_seed, n) if sc.noise_std > 0.0 else 0.0
+        # the noise is drawn before the buffer is allocated, so that the
+        # draw's temporaries and the buffer are never alive together
+        draws = None
+        if noise_source is None and sc.noise_std > 0.0:
+            draws = _memo(_NOISE_MEMO, _NOISE_MEMO_SIZE, (sc.rng_seed, n), lambda: gaussian_column(sc.rng_seed, n))
         # row j holds field j of Trace, so each column handed out is contiguous
         buf = np.empty((len(Trace._fields), n))
     except (MemoryError, ValueError):    # numpy raises ValueError past its largest array
@@ -294,38 +363,41 @@ def run(scenario: Scenario, noise_source: np.ndarray | None = None) -> Trace:
 
     # the inputs: every row the loop reads is filled before it starts
     t, _, noise, _, t_ext, y_star, y_star_dot, _, _, f_row = buf
-    noise[:] = noise_source
-    del noise_source    # the row holds it now; one column fewer alive while the others fill
-    t[:] = np.arange(n)
-    t *= dt
-    _fill_t_ext(sc.t_ext, t, t_ext)
-    fill_reference(sc.schedule, sc.reference_mode, t, y_star, y_star_dot)
-    # the laws as locals, looked up once per run rather than once per tick
-    ip_law, pi_law, estimate = ip_control, pi_control, estimate_F
+    if noise_source is not None:
+        noise[:] = noise_source
+    elif draws is not None:
+        np.multiply(draws, sc.noise_std, out=noise)
+    else:
+        noise.fill(0.0)
+    # repr tells apart the equal values 0.0 and -0.0, which run differently
+    key = repr((n, dt, sc.t_ext, sc.schedule, sc.reference_mode))
+    block = _memo(_BLOCK_MEMO, _BLOCK_MEMO_SIZE, key, lambda: _input_block(sc, n))
+    t[:] = block[0]
+    buf[4:7] = block[1:]
     ip = isinstance(cfg, IpController)
     if ip:
         w = cfg.window_len
-        warm, scale, alpha = w - 1, slope_scale(w, dt), cfg.alpha
+        warm, scale, alpha, k_p = w - 1, slope_scale(w, dt), cfg.alpha, cfg.k_p
         # the least-squares slope over the measured row: (weight, offset of
         # the newer sample, offset of the older) per mirror pair, in order;
         # a window longer than the run never fills and needs none
         pairs = [(float(w - 1 - 2 * i), i, w - 1 - i) for i in range(w // 2)] if w <= n else []
     elif isinstance(cfg, PiController):
-        gains = cfg
+        k_p, k_i = cfg.k_p, cfg.k_i
         # -0.0 + x == x for every x, sign of zero included, so without a
         # model the command is exactly the PI output
         f_row.fill(-0.0)
     else:
         gains = cfg.corrector()
+        k_p, k_i = gains.k_p, gains.k_i
         f_row[:] = flat_feedforward(y_star, y_star_dot, cfg.model)
 
-    # the loop: the control law and the plant state
+    # the loop: the control law and the plant state, with no call per tick
     m11, m12, m21, m22, g_i, g_w = rk4_map(sc.plant, dt)
     q_lo, q_hi = sc.actuator.bounds
-    isfinite = math.isfinite
     # the measured row holds the noise until its tick overwrites it; the
     # last row is f_estim for iP and the feedforward for the other laws
-    T, Y, M, W, TE, YS, YD, QC, QA, F = (memoryview(row) for row in buf)
+    Y, M, W, TE, YS, YD, QC, QA, F = (memoryview(row) for row in buf[1:])
     ti, tw = sc.initial.t_int, sc.initial.t_wall
     u_prev = e_integral = 0.0
     for k in range(n):
@@ -339,12 +411,12 @@ def run(scenario: Scenario, noise_source: np.ndarray | None = None) -> Trace:
                 acc = 0.0
                 for c, new, old in pairs:
                     acc += c * (M[k - new] - M[k - old])
-                f_estim = estimate(scale * acc, u_prev, alpha)
+                f_estim = scale * acc - alpha * u_prev    # F = dy_hat - alpha*u_prev
             F[k] = f_estim
-            q_command = ip_law(f_estim, YD[k], e, cfg)
+            q_command = -(f_estim - YD[k] - k_p * e) / alpha    # the iP law
         else:
             candidate = e_integral + e * dt    # rectangle rule
-            q_command = F[k] + pi_law(e, candidate, gains)
+            q_command = F[k] + (k_p * e + k_i * candidate)    # feedforward plus PI
         q_applied = q_lo if q_command < q_lo else (q_hi if q_command > q_hi else q_command)
         if ip:
             u_prev = q_applied
@@ -352,8 +424,6 @@ def run(scenario: Scenario, noise_source: np.ndarray | None = None) -> Trace:
             # conditional integration: the integral freezes while the
             # clamp is active, which is what keeps windup bounded
             e_integral = candidate
-        if not (isfinite(y_meas) and isfinite(q_command)):
-            raise SimulationError(f"non-finite controller value at tick {k} (t={T[k]})")
         Y[k] = ti
         W[k] = tw
         QC[k] = q_command
@@ -363,8 +433,12 @@ def run(scenario: Scenario, noise_source: np.ndarray | None = None) -> Trace:
         di, dw = ti - te, tw - te
         ti += m11 * di + m12 * dw + g_i * q_applied
         tw += m21 * di + m22 * dw + g_w * q_applied
-        if not (isfinite(ti) and isfinite(tw)):
-            raise SimulationError(f"non-finite plant state at tick {k} (t={T[k]})")
+    # Python float arithmetic raises on none of the loop's operations, so a
+    # NaN or an infinity runs on to the end.  A non-finite state stays so,
+    # and every later measured value with it: the measured and command rows
+    # and the final state show whether any tick went wrong.
+    if not (math.isfinite(ti) and math.isfinite(tw) and np.isfinite(buf[2]).all() and np.isfinite(buf[7]).all()):
+        _raise_first_non_finite(buf, ti, tw)
     return Trace(*buf[:-1], f_row if ip else None)
 
 
@@ -396,12 +470,14 @@ def compute_metrics(trace: Trace) -> Metrics:
     if len(trace.t) < 2:
         raise ValueError("need at least two records to infer the tick length")
     dt = trace.t[1] - trace.t[0]
-    e = trace.t_int_true - trace.y_star
     q, q_cmd = trace.q_applied, trace.q_command
     with np.errstate(over="ignore", invalid="ignore"):
+        e = trace.t_int_true - trace.y_star
+        rmse, max_abs_error = float(np.sqrt(np.mean(e * e))), float(np.max(np.abs(e)))
+        del e    # one column fewer alive while the heat metrics take theirs
         metrics = Metrics(
-            rmse=float(np.sqrt(np.mean(e * e))),
-            max_abs_error=float(np.max(np.abs(e))),
+            rmse=rmse,
+            max_abs_error=max_abs_error,
             energy=float(dt * np.sum(np.clip(q, 0.0, None))),
             cooling_energy=float(dt * np.sum(np.clip(-q, 0.0, None))),
             control_variation=float(np.sum(np.abs(np.diff(q)))),

@@ -16,8 +16,9 @@ slope over the last W of them is a fixed FIR filter, the
 first-derivative Savitzky-Golay filter.  Only the measured values are
 kept; the fit never sees a time value.  The engine's tick loop takes the
 mirror-pair sum straight from its measured column, scaled by
-:func:`slope_scale`; the tests hold it bit for bit to a least-squares
-estimator over a ring of samples.
+:func:`slope_scale`, and subtracts alpha * u_prev itself; the tests hold
+it bit for bit to a least-squares estimator over a ring of samples and
+to F_estim as a plain function.
 """
 
 from __future__ import annotations
@@ -29,8 +30,3 @@ def slope_scale(window_len: int, dt: float) -> float:
     # least-squares weights are (j - (W-1)/2) / (dt * W*(W^2-1)/12);
     # a mirror pair's offset is (W-1-2i)/2, whose 1/2 is folded in here
     return 6.0 / (dt * (window_len * (window_len * window_len - 1)))
-
-
-def estimate_F(dy_hat: float, u_prev: float, alpha: float) -> float:
-    """F_estim = dy_hat - alpha * u_prev (linear in both arguments)."""
-    return dy_hat - alpha * u_prev

@@ -16,7 +16,10 @@ implementation of the same thing, kept here because no command runs it:
   must equal at every tick;
 * estimation: ``SlopeEstimator``, the least-squares slope over a ring
   of the last W samples, which the tick loop's mirror-pair sum must
-  equal;
+  equal, and ``estimate_F``, the disturbance estimate from that slope;
+* control laws: ``ip_control`` and ``pi_control``, the two laws as
+  plain functions, which the tick loop writes out inline with the same
+  operations in the same order;
 * noise: ``splitmix64``, ``uniform`` and ``gaussian``, one draw at a
   time, which ``gaussian_column`` must equal bit for bit.
 """
@@ -27,6 +30,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 
+from heatloop.controllers import IpController, PiController
 from heatloop.estimation import slope_scale
 from heatloop.noise import _GOLDEN, _MASK
 from heatloop.plant import NOMINAL, ThermalParams, ThermalState, system_matrices
@@ -216,6 +220,25 @@ class SlopeEstimator:
         for i in range(w // 2):
             acc += (w - 1 - 2 * i) * (ring[-1 - i] - ring[i])
         return self._scale * acc
+
+
+def estimate_F(dy_hat: float, u_prev: float, alpha: float) -> float:
+    """F_estim = dy_hat - alpha * u_prev (linear in both arguments)."""
+    return dy_hat - alpha * u_prev
+
+
+# ---------------------------------------------------------------------------
+# the control laws
+
+
+def ip_control(f_estim: float, y_star_dot: float, e: float, cfg: IpController) -> float:
+    """u = -(F_estim - y_star_dot - k_p*e) / alpha."""
+    return -(f_estim - y_star_dot - cfg.k_p * e) / cfg.alpha
+
+
+def pi_control(e: float, e_integral: float, cfg: PiController) -> float:
+    """q = k_p*e + k_i*integral(e)."""
+    return cfg.k_p * e + cfg.k_i * e_integral
 
 
 # ---------------------------------------------------------------------------

@@ -445,6 +445,19 @@ def test_symlink_at_an_output_name_is_replaced_not_written_through(tmp_path, def
     assert target.read_bytes() == b"keep\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    (UNSTABLE_CFG, "non-finite controller value at tick 2 (t=120.0)"),
+    ("dt = 1e-310\nhorizon = 1e-309\n", "non-finite controller value at tick 4 (t=4e-310)"),
+    ("horizon = 3600\ninitial.t_int = 1.7e308\ninitial.t_wall = 1.7e308\ncontroller.k_p = 0.5\n"
+     "actuator.q_max = 1e308\n", "non-finite plant state at tick 2 (t=120.0)"),
+], ids=["controller", "subnormal_dt", "plant"])
+def test_a_diverging_run_names_its_tick(tmp_path, capsys, text, message):
+    cfg = tmp_path / "diverging.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", cfg.as_posix(), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_diverging_run_exits_3(tmp_path, capsys):
     cfg = tmp_path / "unstable.cfg"
     cfg.write_text(UNSTABLE_CFG, encoding="utf-8")
@@ -478,8 +491,19 @@ EXTREME_INPUTS = {
     "one_tick": ("horizon = 60\n", 2, "horizon=60.0 / dt=60.0 gives 1 tick"),
     # RK4 diverges on the nominal plant past 1688.76 s: a finite rmse of 1.27e9 K before it was refused
     "rk4_unstable_dt": ("dt = 1800\n", 2, "dt=1800.0 is past the RK4 stability limit of 1688.76 s"),
-    # the air node's time constant shrinks to 1e-300 s, far below any tick
-    "tiny_air_capacity": ("plant.c_a = 1e-300\n", 2, "dt=60.0 is past the RK4 stability limit"),
+    # the air node's time constant shrinks to 1e-300 s, far below any tick:
+    # the message names the plant's, and the capacities that set it
+    "tiny_air_capacity": (
+        "plant.c_a = 1e-300\n", 2,
+        "dt=60.0 is past the RK4 stability limit of 1.98383e-300 s for this plant, whose fastest time "
+        "constant 1/rho(A) is 7.12251e-301 s (plant.c_a = 1e-300, plant.c_w = 2200.0)",
+    ),
+    # k_c / c_a overflows: there is no time constant to name
+    "vanishing_air_capacity": (
+        "plant.c_a = 1e-310\n", 2,
+        "dt=60.0 is past the RK4 stability limit for this plant: its fastest rate rho(A) overflows "
+        "(plant.c_a = 1e-310, plant.c_w = 2200.0)",
+    ),
 }
 
 # the plain run keeps the bare case ids

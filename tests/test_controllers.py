@@ -13,15 +13,12 @@ from heatloop.controllers import (
     IpController,
     PiController,
     flat_feedforward,
-    ip_control,
-    pi_control,
     place_flat_p_gain,
     place_flat_pi_gains,
 )
-from heatloop.estimation import estimate_F
 from heatloop.plant import NOMINAL, ThermalState, wall_equilibrium
 from heatloop.reference import Schedule
-from oracles import derivatives, smooth_reference, step_rk4
+from oracles import derivatives, estimate_F, ip_control, pi_control, smooth_reference, step_rk4
 
 
 def test_ip_gains_validation():

@@ -21,9 +21,9 @@ from heatloop.controllers import (
     PiController,
     default_controller,
     flat_feedforward,
-    ip_control,
-    pi_control,
 )
+from heatloop import engine
+from heatloop.cli import write_timeseries_csv
 from heatloop.engine import (
     DEFAULT_SWEEP_FACTORS,
     ConstantTExt,
@@ -41,10 +41,18 @@ from heatloop.engine import (
     sweep,
     transition_spans,
 )
-from heatloop.estimation import estimate_F
 from heatloop.plant import NOMINAL, ThermalState, rk4_map
 from heatloop.reference import Schedule
-from oracles import REFERENCE_GENERATORS, SlopeEstimator, derivatives, gaussian, map_step
+from oracles import (
+    REFERENCE_GENERATORS,
+    SlopeEstimator,
+    derivatives,
+    estimate_F,
+    gaussian,
+    ip_control,
+    map_step,
+    pi_control,
+)
 
 
 FLAT_SCHEDULE = Schedule(segments=((0.0, 16.0),), transition_duration=3600.0)
@@ -565,12 +573,14 @@ def test_sweep_spread_equals_the_plain_runs(two_cpus, no_child_left):
 # the tick loop against its per-tick oracle
 
 
-def reference_run(sc: Scenario) -> Trace:
+def reference_run(sc: Scenario, noise_source: np.ndarray | None = None) -> Trace:
     """The run composed tick by tick from the scalar pieces: the noise
-    draw, ``t_ext.at``, the reference generator, SlopeEstimator with
-    estimate_F and ip_control, or flat_feedforward plus pi_control, the
-    clamp to ActuatorMode.bounds, the integral frozen while the clamp is
-    active, and rk4_map's coefficients applied to a ThermalState."""
+    draw (or ``noise_source``), ``t_ext.at``, the reference generator,
+    SlopeEstimator with estimate_F and ip_control, or flat_feedforward
+    plus pi_control, the clamp to ActuatorMode.bounds, the integral
+    frozen while the clamp is active, and rk4_map's coefficients applied
+    to a ThermalState.  Each tick checks the controller's values, then
+    the state its step leaves, and raises at the first non-finite one."""
     cfg, dt = sc.controller, sc.dt
     ip = isinstance(cfg, IpController)
     if ip:
@@ -586,7 +596,10 @@ def reference_run(sc: Scenario) -> Trace:
         t = k * dt
         t_ext = sc.t_ext.at(t)
         y_star, y_star_dot = generator(sc.schedule, t)
-        noise = sc.noise_std * gaussian(sc.rng_seed, k) if sc.noise_std > 0.0 else 0.0
+        if noise_source is not None:
+            noise = float(noise_source[k])
+        else:
+            noise = sc.noise_std * gaussian(sc.rng_seed, k) if sc.noise_std > 0.0 else 0.0
         y_meas = state.t_int + noise
         e = y_meas - y_star
         if ip:
@@ -604,8 +617,12 @@ def reference_run(sc: Scenario) -> Trace:
             u_prev = q_applied
         elif q_applied == q_command:
             e_integral = candidate
+        if not (math.isfinite(y_meas) and math.isfinite(q_command)):
+            raise SimulationError(f"non-finite controller value at tick {k} (t={t})")
         rows.append((t, state.t_int, y_meas, state.t_wall, t_ext, y_star, y_star_dot, q_command, q_applied, f_estim))
         state = map_step(state, q_applied, t_ext, step)
+        if not (math.isfinite(state.t_int) and math.isfinite(state.t_wall)):
+            raise SimulationError(f"non-finite plant state at tick {k} (t={t})")
     columns = [np.array(column) for column in zip(*rows)]
     return Trace(*columns[:-1], columns[-1] if ip else None)
 
@@ -661,6 +678,140 @@ def test_oracle_covers_the_default_and_equilibrium_scenarios_of_each_kind():
         controller = default_controller(kind, NOMINAL)
         for sc in (default_scenario(controller=controller), equilibrium_scenario(controller=controller)):
             assert same_bits(run(sc), reference_run(sc)), (kind, sc.t_ext)
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the message of the SimulationError it raises."""
+    try:
+        return fn(*args)
+    except SimulationError as exc:
+        return str(exc)
+
+
+def same_outcome(a, b) -> bool:
+    return a == b if isinstance(a, str) or isinstance(b, str) else same_bits(a, b)
+
+
+@st.composite
+def diverging_runs(draw):
+    """A short scenario pushed towards a non-finite value in one of three
+    ways, and the noise it runs on (None for its own draw): an infinity or
+    a NaN in the noise at a drawn tick, a huge initial state, or a huge
+    uniform state under an iP whose actuator bounds near the float limit
+    let a huge command through."""
+    sc = draw(oracle_scenarios())
+    huge = st.sampled_from([1e300, -1e300, 1e307, 1.7e308, -1.7e308])
+    case = draw(st.sampled_from(["noise", "initial", "q_max"]))
+    if case == "noise":
+        noise = np.zeros(sc.num_ticks)
+        noise[draw(st.integers(0, sc.num_ticks - 1))] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        return sc, noise
+    if case == "initial":
+        return replace(sc, initial=ThermalState(draw(huge), draw(st.one_of(huge, st.just(16.0))))), None
+    # an iP with a positive gain drives the state away from the setpoint, so
+    # that the state can overflow while the command is still finite
+    controller = IpController(k_p=0.5, window_len=draw(st.integers(2, 12)))
+    actuator = ActuatorMode(HEATING_AND_COOLING, draw(st.sampled_from([1e307, 1e308, 1.7976931348623157e308])))
+    uniform = draw(st.sampled_from([1e308, 1.7e308, -1.7e308]))
+    return replace(sc, controller=controller, actuator=actuator, initial=ThermalState(uniform, uniform)), None
+
+
+@settings(deadline=None, max_examples=150)
+@given(diverging_runs())
+def test_the_check_after_the_loop_raises_what_the_per_tick_check_raises(case):
+    sc, noise = case
+    assert same_outcome(outcome(run, sc, noise), outcome(reference_run, sc, noise))
+
+
+NON_FINITE_CASES = {
+    # a NaN in the measurement is a controller fault and, at the same tick, a
+    # plant fault: the controller's message wins
+    "nan_noise": (default_scenario(horizon=600.0), 3, math.nan, "non-finite controller value at tick 3 (t=180.0)"),
+    "inf_noise_pi": (default_scenario(horizon=600.0, controller=PiController()), 9, -math.inf,
+                     "non-finite controller value at tick 9 (t=540.0)"),
+    # the state overflows while the command is still finite, then on the
+    # last tick, where only the state after the loop shows it
+    **{name: (
+        default_scenario(horizon=horizon, initial=ThermalState(1.7e308, 1e308), controller=IpController(k_p=0.5),
+                         actuator=ActuatorMode(HEATING_AND_COOLING, 1.7976931348623157e308)),
+        None, None, "non-finite plant state at tick 3 (t=180.0)",
+    ) for name, horizon in (("overflowing_state", 3600.0), ("overflow_on_the_last_tick", 240.0))},
+}
+
+
+@pytest.mark.parametrize("sc, tick, value, message", NON_FINITE_CASES.values(), ids=list(NON_FINITE_CASES))
+def test_a_non_finite_run_names_its_first_faulty_tick(sc, tick, value, message):
+    noise = None
+    if tick is not None:
+        noise = np.zeros(sc.num_ticks)
+        noise[tick] = value
+    assert outcome(run, sc, noise) == message
+    assert outcome(reference_run, sc, noise) == message
+
+
+# ---------------------------------------------------------------------------
+# the memos of the tick-index columns
+
+
+def cold_run(sc: Scenario) -> Trace:
+    """``run(sc)`` with both memos emptied first."""
+    engine._NOISE_MEMO.clear()
+    engine._BLOCK_MEMO.clear()
+    return run(sc)
+
+
+SIGNED_ZEROS = {
+    "setpoint": lambda zero: default_scenario(horizon=3600.0, schedule=Schedule(((0.0, zero),), 600.0)),
+    "t_ext": lambda zero: default_scenario(horizon=3600.0, t_ext=ConstantTExt(zero)),
+}
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0], ids=["0.0_first", "-0.0_first"])
+@pytest.mark.parametrize("field", sorted(SIGNED_ZEROS))
+def test_the_memo_tells_signed_zeros_apart(tmp_path, field, first):
+    # 0.0 == -0.0, but the two runs differ in the sign of a column and so in their CSV bytes
+    scenarios = [SIGNED_ZEROS[field](zero) for zero in (first, -first)]
+    warm = [cold_run(scenarios[0]), run(scenarios[1])]    # the second run finds the first's entries
+    csvs = []
+    for i, (sc, trace) in enumerate(zip(scenarios, warm)):
+        cold = cold_run(sc)
+        assert same_bits(trace, cold)
+        paths = [tmp_path / f"{i}_{name}.csv" for name in ("warm", "cold")]
+        for path, t in zip(paths, (trace, cold)):
+            write_timeseries_csv(str(path), t)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        csvs.append(paths[0].read_bytes())
+    assert csvs[0] != csvs[1]
+
+
+def test_writing_into_a_trace_leaves_the_next_run_alone():
+    sc = default_scenario(horizon=3600.0)
+    first = run(sc)
+    expected = Trace(*(None if column is None else column.copy() for column in first))
+    for column in first:
+        if column is not None:
+            column[:] = 1e9
+    assert same_bits(run(sc), expected)
+
+
+def test_memo_arrays_refuse_writes_and_no_trace_shares_them():
+    trace = cold_run(default_scenario(horizon=3600.0))
+    memos = [*engine._NOISE_MEMO.values(), *engine._BLOCK_MEMO.values()]
+    assert len(memos) == 2
+    for array in memos:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+        assert not any(np.shares_memory(array, column) for column in trace if column is not None)
+
+
+def test_the_memos_keep_their_sizes():
+    # compare's step and smooth blocks both stay; one seed's noise at a time
+    for mode in ("step", "smooth", "ramp", "step", "smooth"):
+        for seed in (1, 2):
+            run(default_scenario(horizon=600.0, reference_mode=mode, rng_seed=seed))
+    assert len(engine._NOISE_MEMO) == engine._NOISE_MEMO_SIZE
+    assert len(engine._BLOCK_MEMO) <= engine._BLOCK_MEMO_SIZE
+    assert sum("'step'" in key for key in engine._BLOCK_MEMO) == 1
 
 
 # a run holds its ten Trace rows, and filling the inputs keeps at most two

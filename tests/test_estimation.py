@@ -12,8 +12,7 @@ from pytest import approx
 
 from heatloop.controllers import IpController
 from heatloop.engine import default_scenario, run
-from heatloop.estimation import estimate_F
-from oracles import SlopeEstimator
+from oracles import SlopeEstimator, estimate_F
 
 
 def _filled(values, sample_time=1.0, window_len=None):
