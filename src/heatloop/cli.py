@@ -35,6 +35,7 @@ from .engine import (
     SimulationError,
     Trace,
     compute_metrics,
+    measurement_noise,
     run,
     spread,
     sweep_point,
@@ -127,8 +128,9 @@ def cmd_run(args: argparse.Namespace, sc: Scenario, out: str) -> None:
 
 def cmd_compare(args: argparse.Namespace, base: Scenario, out: str) -> None:
     rows = []
+    noise = measurement_noise(base)    # the seven runs share the base's seed and horizon
     for name, sc in comparison_scenarios(base):
-        trace = run(sc)
+        trace = run(sc, noise)
         rows.append((name, compute_metrics(trace)))
         write_timeseries_csv(os.path.join(out, name + ".csv"), trace)
         if args.plot:
@@ -140,7 +142,8 @@ def cmd_sweep(args: argparse.Namespace, base: Scenario, out: str) -> None:
     kinds = [args.controller] if args.controller else list(CONTROLLERS)
     scenarios = {kind: apply_entries(base, {"controller.kind": kind}) for kind in kinds}
     points = [(kind, factor) for kind in kinds for factor in DEFAULT_SWEEP_FACTORS]
-    rows = spread(lambda point: sweep_point(scenarios[point[0]], point[1]), points)
+    noise = measurement_noise(base)    # every run has the base's seed and horizon
+    rows = spread(lambda point: sweep_point(scenarios[point[0]], point[1], noise), points)
     with open(os.path.join(out, "sweep.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("controller,factor,rmse,energy,control_variation\n")
         for (kind, factor), metrics in zip(points, rows):

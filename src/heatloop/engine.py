@@ -5,11 +5,14 @@ only on the tick index, as a whole column: time, outdoor temperature,
 reference, measurement noise and, for the feedforward-plus-PI law, the
 feedforward (zero for ``pi``, the flatness feedforward of the model for
 ``flat_p`` and ``flat_pi``), kept in the ``f_estim`` row that these
-kinds do not return.  The standard-normal noise column and the block of
-time, outdoor temperature and reference are memoised per process, a
-few entries each, since a comparison's and a sweep's runs repeat them:
-a run copies them into its own rows, so its Trace never shares their
-memory.  One tick loop then serves both control laws and holds only
+kinds do not return.  The block of time, outdoor temperature and
+reference is memoised per process, four blocks at most, since a
+comparison's, a sweep's and a seed ensemble's runs repeat it: a run
+copies it into its own rows, so its Trace never shares its memory, and
+the memo keeps those columns alive after the run returns.  The noise is
+drawn per run; the callers whose runs share a seed, :func:`sweep` and
+the CLI's ``compare`` and ``sweep``, draw it once and pass it to each
+run.  One tick loop then serves both control laws and holds only
 what depends on the state, with no function call per tick.  Each tick
 samples the measured output (true plus noise), computes the heat
 command -- the iP law on the least-squares slope over the last
@@ -284,43 +287,35 @@ def _fill_t_ext(profile: TExtProfile, t: np.ndarray, out: np.ndarray) -> None:
                 w += upper
 
 
-# Per-process memos of the columns that depend on the tick index only,
-# most recently used last.  Their arrays refuse writes, and a run copies
-# them into rows of its own, so no Trace shares their memory.  Between
-# runs they keep at most 17 columns of the latest runs alive: one noise
-# column and four blocks of four.
-_NOISE_MEMO: OrderedDict = OrderedDict()    # (rng_seed, n) -> the standard-normal column
-_BLOCK_MEMO: OrderedDict = OrderedDict()    # repr of (n, dt, t_ext, schedule, mode) -> (t, t_ext, y_star, y_star_dot)
-_NOISE_MEMO_SIZE = 1        # a sweep's and a comparison's runs share one seed
+# The per-process memo of the rows that depend on the tick index and not
+# on the seed -- (t, t_ext, y_star, y_star_dot) as one 4 x n block -- most
+# recently used last.  Its blocks refuse writes, and a run copies one
+# into rows of its own, so no Trace shares their memory.  A run that
+# finds no block fills its rows in place and, after its loop, stores a
+# copy of them: it holds its ten rows and the copy's four at once, and
+# after it returns the memo keeps up to 16 columns of the latest runs
+# alive for the life of the process.
+_BLOCK_MEMO: OrderedDict = OrderedDict()    # repr of (n, dt, t_ext, schedule, mode) -> the block
 _BLOCK_MEMO_SIZE = 4        # a comparison's step and smooth blocks both stay
 
 
-def _memo(cache: OrderedDict, size: int, key, make) -> np.ndarray:
-    """``cache[key]``, made by ``make()`` on a miss, read-only.  The least
-    recently used entries go before a new one is made, so that a miss
-    holds no more than ``size - 1`` old entries alive while it allocates;
-    a hit keeps the stored key and allocates nothing."""
-    value = cache.get(key)
-    if value is None:
-        while len(cache) >= size:
-            cache.popitem(last=False)
-        value = make()
-        value.flags.writeable = False
-        cache[key] = value
-    else:
-        cache.move_to_end(key)
-    return value
+def _too_many_ticks(sc: Scenario) -> ValueError:
+    # .16g writes a count below 1e16 whole and a larger one in a few digits
+    ticks = f"{sc.num_ticks:.16g} ticks"
+    return ValueError(f"horizon={sc.horizon!r} / dt={sc.dt!r} gives {ticks}, too many to hold in memory")
 
 
-def _input_block(sc: Scenario, n: int) -> np.ndarray:
-    """The rows (t, t_ext, y_star, y_star_dot) of a run of ``n`` ticks."""
-    block = np.empty((4, n))
-    t, t_ext, y_star, y_star_dot = block
-    t[:] = np.arange(n)
-    t *= sc.dt
-    _fill_t_ext(sc.t_ext, t, t_ext)
-    fill_reference(sc.schedule, sc.reference_mode, t, y_star, y_star_dot)
-    return block
+def measurement_noise(scenario: Scenario) -> np.ndarray | None:
+    """The scenario's measurement noise in K, one value per tick:
+    noise_std * gaussian_column(rng_seed, num_ticks), or None without
+    noise.  Runs that share a seed and a horizon can draw it once and
+    pass it to :func:`run` as ``noise_source``."""
+    if scenario.noise_std > 0.0:
+        try:
+            return scenario.noise_std * gaussian_column(scenario.rng_seed, scenario.num_ticks)
+        except (MemoryError, ValueError):    # numpy raises ValueError past its largest array
+            raise _too_many_ticks(scenario) from None
+    return None
 
 
 def _raise_first_non_finite(buf: np.ndarray, ti: float, tw: float) -> None:
@@ -341,39 +336,45 @@ def _raise_first_non_finite(buf: np.ndarray, ti: float, tw: float) -> None:
 def run(scenario: Scenario, noise_source: np.ndarray | None = None) -> Trace:
     """Simulate one closed-loop run and return its per-tick trace.
 
-    ``noise_source`` is the measurement noise in K, one value per tick,
-    and exists so tests can inject tailored streams; by default it is
-    noise_std * gaussian_column(rng_seed, num_ticks).
+    ``noise_source`` is the measurement noise in K, one value per tick;
+    by default it is :func:`measurement_noise`'s.  Tests pass tailored
+    streams, and callers whose runs share a seed pass one draw to all.
     """
     sc = scenario
     n, dt, cfg = sc.num_ticks, sc.dt, sc.controller
     if noise_source is not None and len(noise_source) != n:
         raise ValueError(f"noise_source has {len(noise_source)} values, the run has {n} ticks")
+    # repr tells apart the equal values 0.0 and -0.0, which run differently
+    key = repr((n, dt, sc.t_ext, sc.schedule, sc.reference_mode))
+    block = _BLOCK_MEMO.get(key)
+    if block is None:
+        # the least recently used blocks go before this run allocates
+        while len(_BLOCK_MEMO) >= _BLOCK_MEMO_SIZE:
+            _BLOCK_MEMO.popitem(last=False)
+    else:
+        _BLOCK_MEMO.move_to_end(key)
+    # the noise is drawn before the buffer is allocated, so that the
+    # draw's temporaries and the buffer are never alive together
+    if noise_source is None:
+        noise_source = measurement_noise(sc)
     try:
-        # the noise is drawn before the buffer is allocated, so that the
-        # draw's temporaries and the buffer are never alive together
-        draws = None
-        if noise_source is None and sc.noise_std > 0.0:
-            draws = _memo(_NOISE_MEMO, _NOISE_MEMO_SIZE, (sc.rng_seed, n), lambda: gaussian_column(sc.rng_seed, n))
         # row j holds field j of Trace, so each column handed out is contiguous
         buf = np.empty((len(Trace._fields), n))
-    except (MemoryError, ValueError):    # numpy raises ValueError past its largest array
-        # .16g writes a count below 1e16 whole and a larger one in a few digits
-        raise ValueError(f"horizon={sc.horizon!r} / dt={dt!r} gives {n:.16g} ticks, too many to hold in memory") from None
+    except (MemoryError, ValueError):
+        raise _too_many_ticks(sc) from None
 
     # the inputs: every row the loop reads is filled before it starts
     t, _, noise, _, t_ext, y_star, y_star_dot, _, _, f_row = buf
-    if noise_source is not None:
-        noise[:] = noise_source
-    elif draws is not None:
-        np.multiply(draws, sc.noise_std, out=noise)
+    noise[:] = 0.0 if noise_source is None else noise_source
+    del noise_source    # the row holds it now; one column fewer alive while the others fill
+    if block is None:
+        t[:] = np.arange(n)
+        t *= dt
+        _fill_t_ext(sc.t_ext, t, t_ext)
+        fill_reference(sc.schedule, sc.reference_mode, t, y_star, y_star_dot)
     else:
-        noise.fill(0.0)
-    # repr tells apart the equal values 0.0 and -0.0, which run differently
-    key = repr((n, dt, sc.t_ext, sc.schedule, sc.reference_mode))
-    block = _memo(_BLOCK_MEMO, _BLOCK_MEMO_SIZE, key, lambda: _input_block(sc, n))
-    t[:] = block[0]
-    buf[4:7] = block[1:]
+        t[:] = block[0]
+        buf[4:7] = block[1:]
     ip = isinstance(cfg, IpController)
     if ip:
         w = cfg.window_len
@@ -439,6 +440,12 @@ def run(scenario: Scenario, noise_source: np.ndarray | None = None) -> Trace:
     # and the final state show whether any tick went wrong.
     if not (math.isfinite(ti) and math.isfinite(tw) and np.isfinite(buf[2]).all() and np.isfinite(buf[7]).all()):
         _raise_first_non_finite(buf, ti, tw)
+    if block is None:
+        # the memo's copy of the rows the loop left alone, made once the
+        # run's temporaries are gone
+        block = buf.take([0, 4, 5, 6], axis=0)
+        block.flags.writeable = False
+        _BLOCK_MEMO[key] = block
     return Trace(*buf[:-1], f_row if ip else None)
 
 
@@ -555,18 +562,19 @@ def spread(fn, items) -> list:
 DEFAULT_SWEEP_FACTORS = (0.5, 0.75, 1.0, 1.5, 2.0)
 
 
-def sweep_point(scenario: Scenario, factor: float) -> Metrics:
+def sweep_point(scenario: Scenario, factor: float, noise_source: np.ndarray | None = None) -> Metrics:
     """The metrics of the scenario run on its plant with all five
-    parameters multiplied by ``factor``, the controller left as tuned.
-    That plant is the scenario's with its heater gain divided by
-    ``factor`` and the same time constants (:meth:`ThermalParams.scaled`).
-    A product out of range raises ValueError naming its config key."""
+    parameters multiplied by ``factor``, the controller left as tuned,
+    on ``noise_source`` as :func:`run` takes it.  That plant is the
+    scenario's with its heater gain divided by ``factor`` and the same
+    time constants (:meth:`ThermalParams.scaled`).  A product out of
+    range raises ValueError naming its config key."""
     try:
         plant = scenario.plant.scaled(factor)
     except ValueError as exc:
         name = next(n for n in PARAMETERS if not 0.0 < getattr(scenario.plant, n) * factor < math.inf)
         raise ValueError(f"plant.{name} = {getattr(scenario.plant, name)!r} times sweep factor {factor!r}: {exc}") from None
-    return compute_metrics(run(replace(scenario, plant=plant)))
+    return compute_metrics(run(replace(scenario, plant=plant), noise_source))
 
 
 def sweep(scenario: Scenario, factors: tuple[float, ...] = DEFAULT_SWEEP_FACTORS) -> list[tuple[float, Metrics]]:
@@ -575,5 +583,7 @@ def sweep(scenario: Scenario, factors: tuple[float, ...] = DEFAULT_SWEEP_FACTORS
     deliberately left untouched: the point is to measure how each
     strategy survives a plant it was not tuned for.  A uniform factor
     changes the input gain only: the plant's heater gain is divided by
-    the factor, and its time constants do not change."""
-    return list(zip(factors, spread(lambda factor: sweep_point(scenario, factor), factors)))
+    the factor, and its time constants do not change.  The runs share
+    one noise draw."""
+    noise = measurement_noise(scenario)
+    return list(zip(factors, spread(lambda factor: sweep_point(scenario, factor, noise), factors)))

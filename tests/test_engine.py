@@ -36,13 +36,14 @@ from heatloop.engine import (
     _fill_t_ext,
     compute_metrics,
     default_scenario,
+    measurement_noise,
     run,
     spread,
     sweep,
     transition_spans,
 )
 from heatloop.plant import NOMINAL, ThermalState, rk4_map
-from heatloop.reference import Schedule
+from heatloop.reference import MODES, Schedule
 from oracles import (
     REFERENCE_GENERATORS,
     SlopeEstimator,
@@ -750,12 +751,11 @@ def test_a_non_finite_run_names_its_first_faulty_tick(sc, tick, value, message):
 
 
 # ---------------------------------------------------------------------------
-# the memos of the tick-index columns
+# the memo of the tick-index block
 
 
 def cold_run(sc: Scenario) -> Trace:
-    """``run(sc)`` with both memos emptied first."""
-    engine._NOISE_MEMO.clear()
+    """``run(sc)`` with the memo emptied first."""
     engine._BLOCK_MEMO.clear()
     return run(sc)
 
@@ -794,29 +794,44 @@ def test_writing_into_a_trace_leaves_the_next_run_alone():
     assert same_bits(run(sc), expected)
 
 
-def test_memo_arrays_refuse_writes_and_no_trace_shares_them():
-    trace = cold_run(default_scenario(horizon=3600.0))
-    memos = [*engine._NOISE_MEMO.values(), *engine._BLOCK_MEMO.values()]
-    assert len(memos) == 2
-    for array in memos:
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 1.0
-        assert not any(np.shares_memory(array, column) for column in trace if column is not None)
+@pytest.mark.parametrize("found", [False, True], ids=["stored", "found"])
+def test_memo_blocks_refuse_writes_and_no_trace_shares_them(found):
+    sc = default_scenario(horizon=3600.0)
+    trace = cold_run(sc)
+    if found:
+        trace = run(sc)
+    [block] = engine._BLOCK_MEMO.values()
+    with pytest.raises(ValueError, match="read-only"):
+        block[0, 0] = 1.0
+    assert not any(np.shares_memory(block, column) for column in trace if column is not None)
 
 
-def test_the_memos_keep_their_sizes():
-    # compare's step and smooth blocks both stay; one seed's noise at a time
+def test_the_memo_keeps_its_size():
+    # the four latest blocks stay: here compare's step and smooth at two horizons
     for mode in ("step", "smooth", "ramp", "step", "smooth"):
-        for seed in (1, 2):
-            run(default_scenario(horizon=600.0, reference_mode=mode, rng_seed=seed))
-    assert len(engine._NOISE_MEMO) == engine._NOISE_MEMO_SIZE
-    assert len(engine._BLOCK_MEMO) <= engine._BLOCK_MEMO_SIZE
-    assert sum("'step'" in key for key in engine._BLOCK_MEMO) == 1
+        for horizon in (600.0, 1200.0):
+            run(default_scenario(horizon=horizon, reference_mode=mode))
+    assert len(engine._BLOCK_MEMO) == engine._BLOCK_MEMO_SIZE
+    kept = [mode for key in engine._BLOCK_MEMO for mode in MODES if f"'{mode}'" in key]
+    assert kept == ["step", "step", "smooth", "smooth"]
+
+
+def test_one_noise_draw_serves_the_runs_that_share_a_seed():
+    sc = default_scenario(horizon=3600.0)
+    noise = measurement_noise(sc)
+    for kind in sorted(CONTROLLERS):
+        shared = replace(sc, controller=default_controller(kind, NOMINAL))
+        assert same_bits(run(shared, noise), run(shared))
+    assert measurement_noise(replace(sc, noise_std=0.0)) is None
 
 
 # a run holds its ten Trace rows, and filling the inputs keeps at most two
 # more columns alive at once; 280,576 B on the default scenario
 PEAK_BOUND = 12 * 8 * default_scenario().num_ticks + 4096
+# a run that finds no memo block stores a four-column copy, made after
+# its loop, when its ten rows and about 8 KiB of the loop's views and
+# floats are alive; 334,848 B on the default scenario
+COLD_PEAK_BOUND = 14 * 8 * default_scenario().num_ticks + 12288
 
 
 @pytest.mark.parametrize("t_ext", [SinusoidTExt(), ConstantTExt(), TableTExt((0.0, 1e5), (1.0, 9.0))],
@@ -832,3 +847,19 @@ def test_run_peak_memory_stays_within_twelve_columns(kind, t_ext):
     finally:
         tracemalloc.stop()
     assert peak <= PEAK_BOUND
+
+
+@pytest.mark.parametrize("t_ext", [SinusoidTExt(), ConstantTExt(), TableTExt((0.0, 1e5), (1.0, 9.0))],
+                         ids=lambda profile: profile.kind)
+@pytest.mark.parametrize("kind", sorted(CONTROLLERS))
+def test_a_run_that_finds_no_memo_block_stays_within_fourteen_columns(kind, t_ext):
+    sc = default_scenario(controller=default_controller(kind, NOMINAL), t_ext=t_ext)
+    cold_run(sc)    # first-call setup is not the run's
+    engine._BLOCK_MEMO.clear()
+    tracemalloc.start()
+    try:
+        run(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= COLD_PEAK_BOUND
