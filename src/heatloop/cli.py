@@ -39,6 +39,7 @@ from .engine import (
     run,
     spread,
     sweep_point,
+    tick_columns,
 )
 from .svgplot import write_svg
 
@@ -142,8 +143,9 @@ def cmd_sweep(args: argparse.Namespace, base: Scenario, out: str) -> None:
     kinds = [args.controller] if args.controller else list(CONTROLLERS)
     scenarios = {kind: apply_entries(base, {"controller.kind": kind}) for kind in kinds}
     points = [(kind, factor) for kind in kinds for factor in DEFAULT_SWEEP_FACTORS]
-    noise = measurement_noise(base)    # every run has the base's seed and horizon
-    rows = spread(lambda point: sweep_point(scenarios[point[0]], point[1], noise), points)
+    # every run has the base's seed, tick grid, outdoor profile and reference
+    noise, columns = measurement_noise(base), tick_columns(base)
+    rows = spread(lambda point: sweep_point(scenarios[point[0]], point[1], noise, columns), points)
     with open(os.path.join(out, "sweep.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("controller,factor,rmse,energy,control_variation\n")
         for (kind, factor), metrics in zip(points, rows):

@@ -1,19 +1,17 @@
 """Closed-loop simulation engine.
 
-A run first fills every row of its :class:`Trace` buffer that depends
-only on the tick index, as a whole column: time, outdoor temperature,
-reference, measurement noise and, for the feedforward-plus-PI law, the
-feedforward (zero for ``pi``, the flatness feedforward of the model for
-``flat_p`` and ``flat_pi``), kept in the ``f_estim`` row that these
-kinds do not return.  The block of time, outdoor temperature and
-reference is memoised per process, four blocks at most, since a
-comparison's, a sweep's and a seed ensemble's runs repeat it: a run
-copies it into its own rows, so its Trace never shares its memory, and
-the memo keeps those columns alive after the run returns.  The noise is
-drawn per run; the callers whose runs share a seed, :func:`sweep` and
-the CLI's ``compare`` and ``sweep``, draw it once and pass it to each
-run.  One tick loop then serves both control laws and holds only
-what depends on the state, with no function call per tick.  Each tick
+A run first fills every row that depends only on the tick index, as a
+whole column: time, outdoor temperature and reference, made by
+:func:`tick_columns` as four read-only rows, then measurement noise and,
+for the feedforward-plus-PI law, the feedforward (zero for ``pi``, the
+flatness feedforward of the model for ``flat_p`` and ``flat_pi``), kept
+in the ``f_estim`` row that these kinds do not return.  Callers whose
+runs share a seed draw the noise once and pass it to each run, as the
+CLI's ``compare`` does; :func:`sweep` and the CLI's ``sweep``, whose
+runs also share a reference, build the columns once too and pass them
+to each run, whose Trace then shares them.  One tick loop then serves
+both control laws and holds only what depends on the state, with no
+function call per tick.  Each tick
 samples the measured output (true plus noise), computes the heat
 command -- the iP law on the least-squares slope over the last
 ``window_len`` measured values, or feedforward plus PI -- clamps it to
@@ -44,7 +42,6 @@ import math
 import os
 import pickle
 from bisect import bisect_right
-from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Union
 
@@ -238,8 +235,10 @@ def default_scenario(**replacements) -> Scenario:
 
 class Trace(NamedTuple):
     """The per-tick log of one run: one contiguous float64 column per
-    field, one entry per tick.  f_estim is None for controllers that do
-    not carry an ultra-local estimate."""
+    field, one entry per tick.  t, t_ext, y_star and y_star_dot are the
+    read-only :func:`tick_columns` the run was given or built, shared by
+    the runs given the same ones.  f_estim is None for controllers that
+    do not carry an ultra-local estimate."""
 
     t: np.ndarray
     t_int_true: np.ndarray
@@ -287,18 +286,6 @@ def _fill_t_ext(profile: TExtProfile, t: np.ndarray, out: np.ndarray) -> None:
                 w += upper
 
 
-# The per-process memo of the rows that depend on the tick index and not
-# on the seed -- (t, t_ext, y_star, y_star_dot) as one 4 x n block -- most
-# recently used last.  Its blocks refuse writes, and a run copies one
-# into rows of its own, so no Trace shares their memory.  A run that
-# finds no block fills its rows in place and, after its loop, stores a
-# copy of them: it holds its ten rows and the copy's four at once, and
-# after it returns the memo keeps up to 16 columns of the latest runs
-# alive for the life of the process.
-_BLOCK_MEMO: OrderedDict = OrderedDict()    # repr of (n, dt, t_ext, schedule, mode) -> the block
-_BLOCK_MEMO_SIZE = 4        # a comparison's step and smooth blocks both stay
-
-
 def _too_many_ticks(sc: Scenario) -> ValueError:
     # .16g writes a count below 1e16 whole and a larger one in a few digits
     ticks = f"{sc.num_ticks:.16g} ticks"
@@ -318,12 +305,32 @@ def measurement_noise(scenario: Scenario) -> np.ndarray | None:
     return None
 
 
-def _raise_first_non_finite(buf: np.ndarray, ti: float, tw: float) -> None:
+def tick_columns(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The scenario's rows that depend only on the tick index, as the
+    read-only rows (t, t_ext, y_star, y_star_dot) of one fresh 4 x n
+    array.  Runs that share a horizon, a tick, an outdoor profile, a
+    schedule and a reference mode can share them: :func:`run` takes them
+    as ``columns``."""
+    n, dt = scenario.num_ticks, scenario.dt
+    try:
+        block = np.empty((4, n))
+    except (MemoryError, ValueError):
+        raise _too_many_ticks(scenario) from None
+    t, t_ext, y_star, y_star_dot = block
+    t[:] = np.arange(n)
+    t *= dt
+    _fill_t_ext(scenario.t_ext, t, t_ext)
+    fill_reference(scenario.schedule, scenario.reference_mode, t, y_star, y_star_dot)
+    block.flags.writeable = False
+    return tuple(block)    # views made after the flag, so they refuse writes too
+
+
+def _raise_first_non_finite(t, y, m, w, qc, ti: float, tw: float) -> None:
     """Raise the SimulationError a per-tick check would have raised first:
-    at tick k the controller (the measured value and the command) is
-    checked before the plant state the step of tick k leaves, which is
-    row k + 1 of the state rows or, at the last tick, (ti, tw)."""
-    t, y, m, w, _, _, _, qc = buf[:8]
+    at tick k the controller (the measured value ``m`` and the command
+    ``qc``) is checked before the plant state the step of tick k leaves,
+    which is entry k + 1 of the state rows ``y`` and ``w`` or, at the
+    last tick, (ti, tw)."""
     controller = ~(np.isfinite(m) & np.isfinite(qc))
     plant = np.append(~(np.isfinite(y[1:]) & np.isfinite(w[1:])), not (math.isfinite(ti) and math.isfinite(tw)))
     k_controller = int(np.argmax(controller)) if controller.any() else len(t)
@@ -333,48 +340,37 @@ def _raise_first_non_finite(buf: np.ndarray, ti: float, tw: float) -> None:
     raise SimulationError(f"non-finite plant state at tick {k_plant} (t={float(t[k_plant])})")
 
 
-def run(scenario: Scenario, noise_source: np.ndarray | None = None) -> Trace:
+def run(scenario: Scenario, noise_source: np.ndarray | None = None, columns: tuple[np.ndarray, ...] | None = None) -> Trace:
     """Simulate one closed-loop run and return its per-tick trace.
 
     ``noise_source`` is the measurement noise in K, one value per tick;
     by default it is :func:`measurement_noise`'s.  Tests pass tailored
     streams, and callers whose runs share a seed pass one draw to all.
+    ``columns`` is the scenario's :func:`tick_columns`, by default built
+    for this run; callers whose runs share them pass one set to all,
+    and the Traces share them too, not copies.
     """
     sc = scenario
     n, dt, cfg = sc.num_ticks, sc.dt, sc.controller
     if noise_source is not None and len(noise_source) != n:
         raise ValueError(f"noise_source has {len(noise_source)} values, the run has {n} ticks")
-    # repr tells apart the equal values 0.0 and -0.0, which run differently
-    key = repr((n, dt, sc.t_ext, sc.schedule, sc.reference_mode))
-    block = _BLOCK_MEMO.get(key)
-    if block is None:
-        # the least recently used blocks go before this run allocates
-        while len(_BLOCK_MEMO) >= _BLOCK_MEMO_SIZE:
-            _BLOCK_MEMO.popitem(last=False)
-    else:
-        _BLOCK_MEMO.move_to_end(key)
-    # the noise is drawn before the buffer is allocated, so that the
-    # draw's temporaries and the buffer are never alive together
+    if columns is not None and len(columns[0]) != n:
+        raise ValueError(f"columns have {len(columns[0])} values, the run has {n} ticks")
+    # noise, then columns, then the buffer: the draw's temporaries are gone before any of the rows exist
     if noise_source is None:
         noise_source = measurement_noise(sc)
+    if columns is None:
+        columns = tick_columns(sc)
+    t, t_ext, y_star, y_star_dot = columns
     try:
-        # row j holds field j of Trace, so each column handed out is contiguous
-        buf = np.empty((len(Trace._fields), n))
+        buf = np.empty((6, n))    # a row per other field of Trace, so each is contiguous
     except (MemoryError, ValueError):
         raise _too_many_ticks(sc) from None
 
     # the inputs: every row the loop reads is filled before it starts
-    t, _, noise, _, t_ext, y_star, y_star_dot, _, _, f_row = buf
-    noise[:] = 0.0 if noise_source is None else noise_source
-    del noise_source    # the row holds it now; one column fewer alive while the others fill
-    if block is None:
-        t[:] = np.arange(n)
-        t *= dt
-        _fill_t_ext(sc.t_ext, t, t_ext)
-        fill_reference(sc.schedule, sc.reference_mode, t, y_star, y_star_dot)
-    else:
-        t[:] = block[0]
-        buf[4:7] = block[1:]
+    t_int, measured, t_wall, q_cmd, q_app, f_row = buf
+    measured[:] = 0.0 if noise_source is None else noise_source
+    del noise_source    # the row holds it now; one column fewer alive while the feedforward fills
     ip = isinstance(cfg, IpController)
     if ip:
         w = cfg.window_len
@@ -398,7 +394,8 @@ def run(scenario: Scenario, noise_source: np.ndarray | None = None) -> Trace:
     q_lo, q_hi = sc.actuator.bounds
     # the measured row holds the noise until its tick overwrites it; the
     # last row is f_estim for iP and the feedforward for the other laws
-    Y, M, W, TE, YS, YD, QC, QA, F = (memoryview(row) for row in buf[1:])
+    Y, M, W, QC, QA, F = (memoryview(row) for row in buf)
+    TE, YS, YD = memoryview(t_ext), memoryview(y_star), memoryview(y_star_dot)
     ti, tw = sc.initial.t_int, sc.initial.t_wall
     u_prev = e_integral = 0.0
     for k in range(n):
@@ -438,15 +435,9 @@ def run(scenario: Scenario, noise_source: np.ndarray | None = None) -> Trace:
     # NaN or an infinity runs on to the end.  A non-finite state stays so,
     # and every later measured value with it: the measured and command rows
     # and the final state show whether any tick went wrong.
-    if not (math.isfinite(ti) and math.isfinite(tw) and np.isfinite(buf[2]).all() and np.isfinite(buf[7]).all()):
-        _raise_first_non_finite(buf, ti, tw)
-    if block is None:
-        # the memo's copy of the rows the loop left alone, made once the
-        # run's temporaries are gone
-        block = buf.take([0, 4, 5, 6], axis=0)
-        block.flags.writeable = False
-        _BLOCK_MEMO[key] = block
-    return Trace(*buf[:-1], f_row if ip else None)
+    if not (math.isfinite(ti) and math.isfinite(tw) and np.isfinite(measured).all() and np.isfinite(q_cmd).all()):
+        _raise_first_non_finite(t, t_int, measured, t_wall, q_cmd, ti, tw)
+    return Trace(t, t_int, measured, t_wall, t_ext, y_star, y_star_dot, q_cmd, q_app, f_row if ip else None)
 
 
 @dataclass(frozen=True)
@@ -562,19 +553,20 @@ def spread(fn, items) -> list:
 DEFAULT_SWEEP_FACTORS = (0.5, 0.75, 1.0, 1.5, 2.0)
 
 
-def sweep_point(scenario: Scenario, factor: float, noise_source: np.ndarray | None = None) -> Metrics:
+def sweep_point(scenario: Scenario, factor: float,
+                noise_source: np.ndarray | None = None, columns: tuple[np.ndarray, ...] | None = None) -> Metrics:
     """The metrics of the scenario run on its plant with all five
     parameters multiplied by ``factor``, the controller left as tuned,
-    on ``noise_source`` as :func:`run` takes it.  That plant is the
-    scenario's with its heater gain divided by ``factor`` and the same
-    time constants (:meth:`ThermalParams.scaled`).  A product out of
-    range raises ValueError naming its config key."""
+    on ``noise_source`` and ``columns`` as :func:`run` takes them.  That
+    plant is the scenario's with its heater gain divided by ``factor``
+    and the same time constants (:meth:`ThermalParams.scaled`).  A
+    product out of range raises ValueError naming its config key."""
     try:
         plant = scenario.plant.scaled(factor)
     except ValueError as exc:
         name = next(n for n in PARAMETERS if not 0.0 < getattr(scenario.plant, n) * factor < math.inf)
         raise ValueError(f"plant.{name} = {getattr(scenario.plant, name)!r} times sweep factor {factor!r}: {exc}") from None
-    return compute_metrics(run(replace(scenario, plant=plant), noise_source))
+    return compute_metrics(run(replace(scenario, plant=plant), noise_source, columns))
 
 
 def sweep(scenario: Scenario, factors: tuple[float, ...] = DEFAULT_SWEEP_FACTORS) -> list[tuple[float, Metrics]]:
@@ -584,6 +576,6 @@ def sweep(scenario: Scenario, factors: tuple[float, ...] = DEFAULT_SWEEP_FACTORS
     strategy survives a plant it was not tuned for.  A uniform factor
     changes the input gain only: the plant's heater gain is divided by
     the factor, and its time constants do not change.  The runs share
-    one noise draw."""
-    noise = measurement_noise(scenario)
-    return list(zip(factors, spread(lambda factor: sweep_point(scenario, factor, noise), factors)))
+    one noise draw and one set of tick columns."""
+    noise, columns = measurement_noise(scenario), tick_columns(scenario)
+    return list(zip(factors, spread(lambda factor: sweep_point(scenario, factor, noise, columns), factors)))

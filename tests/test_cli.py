@@ -6,14 +6,18 @@ config loading, the run itself and the on-disk output formats.
 
 import contextlib
 import errno
+import importlib
 import io
 import os
+import pkgutil
 import tempfile
+import types
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import heatloop
 from heatloop.config import serialize_scenario
 from heatloop.engine import compute_metrics, default_scenario, run
 from heatloop import cli
@@ -290,6 +294,28 @@ def test_sweep_on_one_cpu_and_on_two_writes_the_same_bytes(tmp_path, monkeypatch
         written.append((out / "sweep.csv").read_bytes())
         assert no_child_left()
     assert written[0] == written[1]
+
+
+def module_state() -> dict[str, str]:
+    """The repr of every module-level value of each heatloop module that
+    is neither callable nor a module, by qualified name."""
+    state = {}
+    for info in pkgutil.iter_modules(heatloop.__path__, "heatloop."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if not (name.startswith("__") or callable(value) or isinstance(value, types.ModuleType)):
+                state[f"{info.name}.{name}"] = repr(value)
+    return state
+
+
+def test_compare_and_sweep_leave_module_state_as_it_was(tmp_path, monkeypatch, default_cfg):
+    # no run keeps anything for the next one: a cache at module level would show here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    before = module_state()
+    assert before
+    for command in ("compare", "sweep"):
+        assert main([command, "--config", default_cfg, "--out", str(tmp_path / command)]) == 0
+    assert module_state() == before
 
 
 @pytest.mark.parametrize("text, code", [

@@ -22,8 +22,6 @@ from heatloop.controllers import (
     default_controller,
     flat_feedforward,
 )
-from heatloop import engine
-from heatloop.cli import write_timeseries_csv
 from heatloop.engine import (
     DEFAULT_SWEEP_FACTORS,
     ConstantTExt,
@@ -40,10 +38,11 @@ from heatloop.engine import (
     run,
     spread,
     sweep,
+    tick_columns,
     transition_spans,
 )
 from heatloop.plant import NOMINAL, ThermalState, rk4_map
-from heatloop.reference import MODES, Schedule
+from heatloop.reference import Schedule
 from oracles import (
     REFERENCE_GENERATORS,
     SlopeEstimator,
@@ -251,6 +250,8 @@ def test_non_finite_measurement_aborts_with_tick():
 def test_noise_source_of_the_wrong_length_is_rejected():
     with pytest.raises(ValueError, match=r"noise_source has 2879 values, the run has 2880 ticks"):
         run(default_scenario(), noise_source=np.zeros(2879))
+    with pytest.raises(ValueError, match=r"columns have 2879 values, the run has 2880 ticks"):
+        run(default_scenario(), columns=tick_columns(default_scenario(horizon=2879 * 60.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -751,87 +752,50 @@ def test_a_non_finite_run_names_its_first_faulty_tick(sc, tick, value, message):
 
 
 # ---------------------------------------------------------------------------
-# the memo of the tick-index block
-
-
-def cold_run(sc: Scenario) -> Trace:
-    """``run(sc)`` with the memo emptied first."""
-    engine._BLOCK_MEMO.clear()
-    return run(sc)
-
-
-SIGNED_ZEROS = {
-    "setpoint": lambda zero: default_scenario(horizon=3600.0, schedule=Schedule(((0.0, zero),), 600.0)),
-    "t_ext": lambda zero: default_scenario(horizon=3600.0, t_ext=ConstantTExt(zero)),
-}
-
-
-@pytest.mark.parametrize("first", [0.0, -0.0], ids=["0.0_first", "-0.0_first"])
-@pytest.mark.parametrize("field", sorted(SIGNED_ZEROS))
-def test_the_memo_tells_signed_zeros_apart(tmp_path, field, first):
-    # 0.0 == -0.0, but the two runs differ in the sign of a column and so in their CSV bytes
-    scenarios = [SIGNED_ZEROS[field](zero) for zero in (first, -first)]
-    warm = [cold_run(scenarios[0]), run(scenarios[1])]    # the second run finds the first's entries
-    csvs = []
-    for i, (sc, trace) in enumerate(zip(scenarios, warm)):
-        cold = cold_run(sc)
-        assert same_bits(trace, cold)
-        paths = [tmp_path / f"{i}_{name}.csv" for name in ("warm", "cold")]
-        for path, t in zip(paths, (trace, cold)):
-            write_timeseries_csv(str(path), t)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-        csvs.append(paths[0].read_bytes())
-    assert csvs[0] != csvs[1]
+# inputs shared between runs
 
 
 def test_writing_into_a_trace_leaves_the_next_run_alone():
     sc = default_scenario(horizon=3600.0)
     first = run(sc)
     expected = Trace(*(None if column is None else column.copy() for column in first))
-    for column in first:
-        if column is not None:
+    inputs = ("t", "t_ext", "y_star", "y_star_dot")
+    for name, column in zip(Trace._fields, first):
+        if column is None:
+            continue
+        if name in inputs:
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1e9
+        else:
             column[:] = 1e9
+    for column in tick_columns(sc):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1e9
     assert same_bits(run(sc), expected)
 
 
-@pytest.mark.parametrize("found", [False, True], ids=["stored", "found"])
-def test_memo_blocks_refuse_writes_and_no_trace_shares_them(found):
+def test_one_noise_draw_serves_the_runs_that_share_a_seed(two_cpus, no_child_left):
     sc = default_scenario(horizon=3600.0)
-    trace = cold_run(sc)
-    if found:
-        trace = run(sc)
-    [block] = engine._BLOCK_MEMO.values()
-    with pytest.raises(ValueError, match="read-only"):
-        block[0, 0] = 1.0
-    assert not any(np.shares_memory(block, column) for column in trace if column is not None)
-
-
-def test_the_memo_keeps_its_size():
-    # the four latest blocks stay: here compare's step and smooth at two horizons
-    for mode in ("step", "smooth", "ramp", "step", "smooth"):
-        for horizon in (600.0, 1200.0):
-            run(default_scenario(horizon=horizon, reference_mode=mode))
-    assert len(engine._BLOCK_MEMO) == engine._BLOCK_MEMO_SIZE
-    kept = [mode for key in engine._BLOCK_MEMO for mode in MODES if f"'{mode}'" in key]
-    assert kept == ["step", "step", "smooth", "smooth"]
-
-
-def test_one_noise_draw_serves_the_runs_that_share_a_seed():
-    sc = default_scenario(horizon=3600.0)
-    noise = measurement_noise(sc)
+    noise, columns = measurement_noise(sc), tick_columns(sc)
     for kind in sorted(CONTROLLERS):
         shared = replace(sc, controller=default_controller(kind, NOMINAL))
         assert same_bits(run(shared, noise), run(shared))
+        trace = run(shared, noise, columns)
+        assert same_bits(trace, run(shared))
+        assert all(column is given for column, given in zip(trace[:1] + trace[4:7], columns))
     assert measurement_noise(replace(sc, noise_std=0.0)) is None
+    # sweep's runs share one draw and one set of columns, in forked children too
+    sc = replace(sc, controller=default_controller("flat_pi", NOMINAL), t_ext=TableTExt((0.0, 1e4), (1.0, 9.0)))
+    assert sweep(sc) == [(f, compute_metrics(run(replace(sc, plant=sc.plant.scaled(f))))) for f in DEFAULT_SWEEP_FACTORS]
+    assert no_child_left()
 
 
-# a run holds its ten Trace rows, and filling the inputs keeps at most two
-# more columns alive at once; 280,576 B on the default scenario
+# a run holds its six state rows and its four input columns, and at most
+# two more while the feedforward fills; 280,576 B on the default scenario
 PEAK_BOUND = 12 * 8 * default_scenario().num_ticks + 4096
-# a run that finds no memo block stores a four-column copy, made after
-# its loop, when its ten rows and about 8 KiB of the loop's views and
-# floats are alive; 334,848 B on the default scenario
-COLD_PEAK_BOUND = 14 * 8 * default_scenario().num_ticks + 12288
+# a run on shared noise and columns holds its six rows and at most two
+# columns of the feedforward's; 188,416 B on the default scenario
+SHARED_PEAK_BOUND = 8 * 8 * default_scenario().num_ticks + 4096
 
 
 @pytest.mark.parametrize("t_ext", [SinusoidTExt(), ConstantTExt(), TableTExt((0.0, 1e5), (1.0, 9.0))],
@@ -849,17 +813,15 @@ def test_run_peak_memory_stays_within_twelve_columns(kind, t_ext):
     assert peak <= PEAK_BOUND
 
 
-@pytest.mark.parametrize("t_ext", [SinusoidTExt(), ConstantTExt(), TableTExt((0.0, 1e5), (1.0, 9.0))],
-                         ids=lambda profile: profile.kind)
 @pytest.mark.parametrize("kind", sorted(CONTROLLERS))
-def test_a_run_that_finds_no_memo_block_stays_within_fourteen_columns(kind, t_ext):
-    sc = default_scenario(controller=default_controller(kind, NOMINAL), t_ext=t_ext)
-    cold_run(sc)    # first-call setup is not the run's
-    engine._BLOCK_MEMO.clear()
+def test_a_run_on_shared_inputs_stays_within_eight_columns(kind):
+    sc = default_scenario(controller=default_controller(kind, NOMINAL))
+    noise, columns = measurement_noise(sc), tick_columns(sc)
+    run(sc, noise, columns)    # first-call setup is not the run's
     tracemalloc.start()
     try:
-        run(sc)
+        run(sc, noise, columns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= COLD_PEAK_BOUND
+    assert peak <= SHARED_PEAK_BOUND
