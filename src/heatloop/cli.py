@@ -3,7 +3,9 @@
 Three subcommands:
 
 * ``run``     -- one closed-loop run: timeseries.csv, metrics.txt, plot.svg
-* ``compare`` -- the standard seven-run controller comparison
+* ``compare`` -- the standard seven-run controller comparison: a CSV (and
+  an SVG) per run, comparison.txt; its runs share the CPUs this process
+  may use
 * ``sweep``   -- plant-parameter robustness sweep, sweep.csv; its runs
   share the CPUs this process may use
 
@@ -47,6 +49,11 @@ from .svgplot import write_svg
 _FLAG_KEYS = {"controller": "controller.kind", "reference": "reference.mode", "actuator": "actuator.mode", "seed": "seed"}
 
 
+# rows per write of the timeseries CSV: a few hundred bound the writer's
+# peak and take no longer than one write of the whole body
+_CSV_BLOCK_ROWS = 256
+
+
 def _g9(value: float) -> str:
     return format(value, ".9g")
 
@@ -55,13 +62,16 @@ def write_timeseries_csv(path: str, trace: Trace) -> None:
     """One column per Trace field, in order: 9 significant digits, LF line
     ends, f_estim blank for controllers without an ultra-local estimate.
 
-    The whole body is one %-template applied to the row-major values;
+    Each block of _CSV_BLOCK_ROWS rows is one %-template applied to its
+    row-major values, so the floats and text alive at once stay a block's;
     "%.9g" % v is the same text as format(v, ".9g") for every float."""
     columns = [col for col in trace if col is not None]
     row = ",".join(["%.9g"] * len(columns)) + ("," if trace.f_estim is None else "") + "\n"
-    body = (row * len(trace.t)) % tuple(np.column_stack(columns).ravel().tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(Trace._fields) + "\n" + body)
+        fh.write(",".join(Trace._fields) + "\n")
+        for a in range(0, len(trace.t), _CSV_BLOCK_ROWS):
+            block = np.column_stack([col[a:a + _CSV_BLOCK_ROWS] for col in columns])
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_metrics_txt(path: str, metrics: Metrics) -> None:
@@ -128,15 +138,25 @@ def cmd_run(args: argparse.Namespace, sc: Scenario, out: str) -> None:
 
 
 def cmd_compare(args: argparse.Namespace, base: Scenario, out: str) -> None:
-    rows = []
-    noise = measurement_noise(base)    # the seven runs share the base's seed and horizon
-    for name, sc in comparison_scenarios(base):
-        trace = run(sc, noise)
-        rows.append((name, compute_metrics(trace)))
+    scenarios = comparison_scenarios(base)
+    # the seven runs share the base's noise, and the runs of a reference mode its tick columns
+    noise, columns = measurement_noise(base), {}
+    for _, sc in scenarios:
+        if sc.reference_mode not in columns:
+            columns[sc.reference_mode] = tick_columns(sc)
+
+    def one(item: tuple[str, Scenario]) -> tuple[str, Metrics]:
+        # writes the run's own files whole and returns only its metrics, so a rerun
+        # by spread's fallback writes the same bytes and no text goes back to the caller
+        name, sc = item
+        trace = run(sc, noise, columns[sc.reference_mode])
+        metrics = compute_metrics(trace)
         write_timeseries_csv(os.path.join(out, name + ".csv"), trace)
         if args.plot:
             write_svg(os.path.join(out, name + ".svg"), trace, title=name)
-    write_comparison_txt(os.path.join(out, "comparison.txt"), rows)
+        return name, metrics
+
+    write_comparison_txt(os.path.join(out, "comparison.txt"), spread(one, scenarios))
 
 
 def cmd_sweep(args: argparse.Namespace, base: Scenario, out: str) -> None:

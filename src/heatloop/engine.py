@@ -6,10 +6,11 @@ whole column: time, outdoor temperature and reference, made by
 for the feedforward-plus-PI law, the feedforward (zero for ``pi``, the
 flatness feedforward of the model for ``flat_p`` and ``flat_pi``), kept
 in the ``f_estim`` row that these kinds do not return.  Callers whose
-runs share a seed draw the noise once and pass it to each run, as the
-CLI's ``compare`` does; :func:`sweep` and the CLI's ``sweep``, whose
-runs also share a reference, build the columns once too and pass them
-to each run, whose Trace then shares them.  One tick loop then serves
+runs share a seed draw the noise once and pass it to each run; those
+whose runs also share a reference build the columns once too and pass
+them to each run, whose Trace then shares them: :func:`sweep` and the
+CLI's ``sweep`` build one set, the CLI's ``compare`` one per reference
+mode.  One tick loop then serves
 both control laws and holds only what depends on the state, with no
 function call per tick.  Each tick
 samples the measured output (true plus noise), computes the heat
@@ -31,9 +32,10 @@ Runs are deterministic: the measurement noise comes from the seeded
 counter-mode stream in :mod:`heatloop.noise`, so identical scenarios
 with identical seeds reproduce identical traces bit for bit.  That is
 what lets :func:`spread` run independent runs, such as the robustness
-sweep's, in forked workers on the CPUs the process may use, as a pure
-speed-up: if a worker fails or cannot start, the runs are made one after
-another instead, with the same results or the same error.
+sweep's and the CLI comparison's, in forked workers on the CPUs the
+process may use, as a pure speed-up: if a worker fails or cannot start,
+the runs are made one after another instead, with the same results, the
+same files or the same error.
 """
 
 from __future__ import annotations
@@ -500,11 +502,13 @@ def spread(fn, items) -> list:
     """``[fn(x) for x in items]``, shared out over the c CPUs this process
     may use: c - 1 forked children each run ``items[i::c]`` and send only
     their result list back through a pipe; the caller runs ``items[0::c]``.
-    ``fn`` must be deterministic and free of side effects, as
-    :func:`sweep_point` is: if the caller's share raises, a child's share
-    does not arrive whole, or a pipe or a child cannot be made, the plain
-    loop runs instead and returns or raises what the serial path does.
-    No child outlives the call."""
+    ``fn`` must be deterministic, and its only side effects may be whole
+    files that a rerun writes again byte for byte: :func:`sweep_point`
+    has none, and the CLI's ``compare`` writes each run's CSV and SVG.
+    If the caller's share raises, a child's share does not arrive whole,
+    or a pipe or a child cannot be made, the plain loop runs every item
+    instead and returns or raises what the serial path does.  No child
+    outlives the call."""
     items = list(items)
     c = min(len(items), len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
     if c < 2:

@@ -201,15 +201,19 @@ def test_compare_metrics_reflect_known_rankings(tmp_path, default_cfg):
     assert rows["flat_pi_fast"]["control_variation"] > 3.0 * rows["ip_heat_cool"]["control_variation"]
 
 
-def test_compare_failing_in_a_later_run_leaves_no_file(tmp_path, capsys):
-    # ip_heat and ip_heat_cool pass; pi_step overflows its command at tick 806
+def test_compare_failing_in_a_later_run_leaves_no_file(tmp_path, monkeypatch, capsys, no_child_left):
+    # ip_heat and ip_heat_cool pass; pi_step overflows its command at tick 806,
+    # whichever runs share the CPUs
     cfg = tmp_path / "b.cfg"
     cfg.write_text("noise_std = 1e306\n", encoding="utf-8")
     out = tmp_path / "out"
-    assert main(["compare", "--config", str(cfg), "--out", str(out), "--plot"]) == 3
-    assert "tick 806" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.cfg", "out"]
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        assert main(["compare", "--config", str(cfg), "--out", str(out), "--plot"]) == 3
+        assert "tick 806" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.cfg", "out"]
+        assert no_child_left()
 
 
 def test_compare_exiting_3_keeps_a_users_file(tmp_path, capsys):
@@ -285,14 +289,19 @@ def test_sweep_factor_one_matches_plain_run(tmp_path, default_cfg):
     assert cv == printed["control_variation"]
 
 
-def test_sweep_on_one_cpu_and_on_two_writes_the_same_bytes(tmp_path, monkeypatch, default_cfg, no_child_left):
+def test_compare_and_sweep_on_one_cpu_and_on_two_write_the_same_bytes(tmp_path, monkeypatch, default_cfg,
+                                                                      no_child_left):
     written = []
     for cpus in ({0}, {0, 1}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
-        out = tmp_path / f"cpus{len(cpus)}"
-        assert main(["sweep", "--config", default_cfg, "--out", str(out)]) == 0
-        written.append((out / "sweep.csv").read_bytes())
-        assert no_child_left()
+        outputs = {}
+        for command in (["sweep"], ["compare", "--plot"]):
+            out = tmp_path / f"cpus{len(cpus)}-{command[0]}"
+            assert main([*command, "--config", default_cfg, "--out", str(out)]) == 0
+            outputs[command[0]] = _listing(str(out))
+            assert no_child_left()
+        written.append(outputs)
+    assert [len(files) for files in written[0].values()] == [1, 15]
     assert written[0] == written[1]
 
 
@@ -318,18 +327,35 @@ def test_compare_and_sweep_leave_module_state_as_it_was(tmp_path, monkeypatch, d
     assert module_state() == before
 
 
-@pytest.mark.parametrize("text, code", [
-    ("horizon = 7200\n", 0),
-    ("horizon = 1e15\ndt = 1.0\n", 2),
-    ("initial.t_int = 1e300\n", 3),
-], ids=["ok", "unallocatable_trace", "metric_overflow"])
-def test_sweep_leaves_no_child_whatever_its_exit(tmp_path, two_cpus, no_child_left, capsys, text, code):
+def command_cases(commands: dict[str, list[str]], cases: dict[str, tuple]) -> list:
+    """Each case under each command, as (command, *case) with the id
+    "case-command"; the command with id "" keeps the bare case ids."""
+    return [
+        pytest.param(command, *case, id="-".join(filter(None, (case_id, command_id))))
+        for command_id, command in commands.items()
+        for case_id, case in cases.items()
+    ]
+
+
+# the commands that share their runs out through spread(): the tests
+# named for sweep run on compare --plot too
+SPREAD_COMMANDS = {"": ["sweep"], "compare_plot": ["compare", "--plot"]}
+
+
+@pytest.mark.parametrize("command, text, code", command_cases(SPREAD_COMMANDS, {
+    "ok": ("horizon = 7200\n", 0),
+    "unallocatable_trace": ("horizon = 1e15\ndt = 1.0\n", 2),
+    "metric_overflow": ("initial.t_int = 1e300\n", 3),
+}))
+def test_sweep_leaves_no_child_whatever_its_exit(tmp_path, two_cpus, no_child_left, capsys, command, text, code):
     cfg = tmp_path / "s.cfg"
     cfg.write_text(text, encoding="utf-8")
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    out = tmp_path / "o"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == code
     assert no_child_left()
     if code:
         assert capsys.readouterr().err.startswith("error:")
+        assert os.listdir(out) == []
 
 
 def test_sweep_overflowing_a_plant_parameter_names_its_key_and_factor(tmp_path, capsys, no_child_left):
@@ -350,22 +376,22 @@ def _raise_eagain():
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open fds in /proc/self/fd")
-@pytest.mark.parametrize("name, cpus, good_calls", [
-    ("fork", {0, 1}, 0),
-    ("pipe", {0, 1}, 0),
-    ("fork", {0, 1, 2}, 1),    # the first child starts, the second cannot
-], ids=["fork", "pipe", "second_fork"])
+@pytest.mark.parametrize("command, name, cpus, good_calls", command_cases(SPREAD_COMMANDS, {
+    "fork": ("fork", {0, 1}, 0),
+    "pipe": ("pipe", {0, 1}, 0),
+    "second_fork": ("fork", {0, 1, 2}, 1),    # the first child starts, the second cannot
+}))
 def test_sweep_runs_serially_when_a_worker_cannot_start(tmp_path, monkeypatch, default_cfg, no_child_left,
-                                                       name, cpus, good_calls):
+                                                       command, name, cpus, good_calls):
     serial = tmp_path / "serial"
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert main(["sweep", "--config", default_cfg, "--out", str(serial)]) == 0
+    assert main([*command, "--config", default_cfg, "--out", str(serial)]) == 0
     fds = len(os.listdir("/proc/self/fd"))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     calls = iter([getattr(os, name)] * good_calls)    # the first good_calls go through, the rest raise
     monkeypatch.setattr(os, name, lambda: next(calls, _raise_eagain)())
-    assert main(["sweep", "--config", default_cfg, "--out", str(tmp_path / "o")]) == 0
-    assert (tmp_path / "o" / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
+    assert main([*command, "--config", default_cfg, "--out", str(tmp_path / "o")]) == 0
+    assert _listing(str(tmp_path / "o")) == _listing(str(serial))
     assert len(os.listdir("/proc/self/fd")) == fds
     assert no_child_left()
 
@@ -541,14 +567,7 @@ EXTREME_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize(
-    "command, text, code, named",
-    [
-        pytest.param(command, *case, id="-".join(filter(None, (case_id, command_id))))
-        for command_id, command in EXTREME_COMMANDS.items()
-        for case_id, case in EXTREME_INPUTS.items()
-    ],
-)
+@pytest.mark.parametrize("command, text, code, named", command_cases(EXTREME_COMMANDS, EXTREME_INPUTS))
 def test_extreme_inputs_exit_cleanly(tmp_path, run_python, command, text, code, named):
     cfg = tmp_path / "extreme.cfg"
     cfg.write_text(text, encoding="utf-8")

@@ -1,6 +1,6 @@
 """The CSV and SVG writers against slow per-value oracles.
 
-The writers format a whole file with one %-template from numpy columns.
+The writers format numpy columns with %-templates, the CSV in row blocks.
 The oracles below are the per-value forms they replaced: one
 ``format(v, ".9g")`` per CSV cell and one ``f"{x:.1f},{y:.1f}"`` per
 polyline point, with the coordinates computed in Python floats.  The
@@ -8,12 +8,13 @@ text must be equal, not close.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from heatloop.cli import comparison_scenarios, write_timeseries_csv
+from heatloop.cli import _CSV_BLOCK_ROWS, comparison_scenarios, write_timeseries_csv
 from heatloop.engine import Trace, default_scenario, run
 from heatloop.svgplot import (
     _GAP, _MARGIN_L, _MARGIN_R, _MARGIN_T, _PANEL_H, _WIDTH, _Panel, _bounds, render_svg, write_svg,
@@ -108,6 +109,31 @@ def test_csv_writer_matches_oracle_on_runs(tmp_path, name):
     path = tmp_path / "t.csv"
     write_timeseries_csv(str(path), trace)
     assert path.read_bytes() == oracle_timeseries_csv(trace).encode("utf-8")
+
+
+@pytest.mark.parametrize("n", [_CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS])
+@pytest.mark.parametrize("f_estim", [True, False], ids=["f_estim", "no_f_estim"])
+def test_csv_writer_matches_oracle_across_row_blocks(tmp_path, n, f_estim):
+    values = np.random.default_rng(n).standard_normal((len(Trace._fields), n)) * 1e3
+    trace = Trace(*values[:-1], values[-1] if f_estim else None)
+    path = tmp_path / "t.csv"
+    write_timeseries_csv(str(path), trace)
+    assert path.read_bytes() == oracle_timeseries_csv(trace).encode("utf-8")
+
+
+def test_csv_writer_peak_stays_below_one_trace(tmp_path):
+    # the writer holds a block of rows as floats and text, never the whole
+    # body: about 147 kB on the default trace, whose ten columns take 230,400 B
+    trace = run(default_scenario())
+    path = str(tmp_path / "t.csv")
+    write_timeseries_csv(path, trace)    # first-call setup is not the writer's
+    tracemalloc.start()
+    try:
+        write_timeseries_csv(path, trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(Trace._fields) * trace.t.nbytes
 
 
 # ---------------------------------------------------------------------------
