@@ -37,11 +37,9 @@ from .engine import (
     SimulationError,
     Trace,
     compute_metrics,
-    measurement_noise,
     run,
-    spread,
-    sweep_point,
-    tick_columns,
+    run_variants,
+    scaled,
 )
 from .svgplot import write_svg
 
@@ -138,37 +136,26 @@ def cmd_run(args: argparse.Namespace, sc: Scenario, out: str) -> None:
 
 
 def cmd_compare(args: argparse.Namespace, base: Scenario, out: str) -> None:
-    scenarios = comparison_scenarios(base)
-    # the seven runs share the base's noise, and the runs of a reference mode its tick columns
-    noise, columns = measurement_noise(base), {}
-    for _, sc in scenarios:
-        if sc.reference_mode not in columns:
-            columns[sc.reference_mode] = tick_columns(sc)
-
-    def one(item: tuple[str, Scenario]) -> tuple[str, Metrics]:
+    def finish(name: str, trace: Trace) -> Metrics:
         # writes the run's own files whole and returns only its metrics, so a rerun
         # by spread's fallback writes the same bytes and no text goes back to the caller
-        name, sc = item
-        trace = run(sc, noise, columns[sc.reference_mode])
         metrics = compute_metrics(trace)
         write_timeseries_csv(os.path.join(out, name + ".csv"), trace)
         if args.plot:
             write_svg(os.path.join(out, name + ".svg"), trace, title=name)
-        return name, metrics
+        return metrics
 
-    write_comparison_txt(os.path.join(out, "comparison.txt"), spread(one, scenarios))
+    write_comparison_txt(os.path.join(out, "comparison.txt"), run_variants(comparison_scenarios(base), finish))
 
 
 def cmd_sweep(args: argparse.Namespace, base: Scenario, out: str) -> None:
     kinds = [args.controller] if args.controller else list(CONTROLLERS)
     scenarios = {kind: apply_entries(base, {"controller.kind": kind}) for kind in kinds}
-    points = [(kind, factor) for kind in kinds for factor in DEFAULT_SWEEP_FACTORS]
-    # every run has the base's seed, tick grid, outdoor profile and reference
-    noise, columns = measurement_noise(base), tick_columns(base)
-    rows = spread(lambda point: sweep_point(scenarios[point[0]], point[1], noise, columns), points)
+    variants = [((kind, f), scaled(sc, f)) for kind, sc in scenarios.items() for f in DEFAULT_SWEEP_FACTORS]
+    rows = run_variants(variants, lambda point, trace: compute_metrics(trace))
     with open(os.path.join(out, "sweep.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("controller,factor,rmse,energy,control_variation\n")
-        for (kind, factor), metrics in zip(points, rows):
+        for (kind, factor), metrics in rows:
             fh.write(",".join((
                 kind,
                 _g9(factor),

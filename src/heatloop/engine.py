@@ -5,14 +5,12 @@ whole column: time, outdoor temperature and reference, made by
 :func:`tick_columns` as four read-only rows, then measurement noise and,
 for the feedforward-plus-PI law, the feedforward (zero for ``pi``, the
 flatness feedforward of the model for ``flat_p`` and ``flat_pi``), kept
-in the ``f_estim`` row that these kinds do not return.  Callers whose
-runs share a seed draw the noise once and pass it to each run; those
-whose runs also share a reference build the columns once too and pass
-them to each run, whose Trace then shares them: :func:`sweep` and the
-CLI's ``sweep`` build one set, the CLI's ``compare`` one per reference
-mode.  One tick loop then serves
-both control laws and holds only what depends on the state, with no
-function call per tick.  Each tick
+in the ``f_estim`` row that these kinds do not return.  Many runs go
+through :func:`run_variants` (:func:`sweep`, the CLI's ``compare`` and
+``sweep``), which draws the noise and builds the columns once for the
+runs that share them and passes them to each; the Traces share them.
+One tick loop then serves both control laws and holds only what
+depends on the state, with no function call per tick.  Each tick
 samples the measured output (true plus noise), computes the heat
 command -- the iP law on the least-squares slope over the last
 ``window_len`` measured values, or feedforward plus PI -- clamps it to
@@ -31,11 +29,11 @@ refused when it is built.
 Runs are deterministic: the measurement noise comes from the seeded
 counter-mode stream in :mod:`heatloop.noise`, so identical scenarios
 with identical seeds reproduce identical traces bit for bit.  That is
-what lets :func:`spread` run independent runs, such as the robustness
-sweep's and the CLI comparison's, in forked workers on the CPUs the
-process may use, as a pure speed-up: if a worker fails or cannot start,
-the runs are made one after another instead, with the same results, the
-same files or the same error.
+what lets :func:`run_variants` run independent runs through
+:func:`spread`, in forked workers on the CPUs the process may use, as a
+pure speed-up: if a worker fails or cannot start, the runs are made one
+after another instead, with the same results, the same files or the
+same error.
 """
 
 from __future__ import annotations
@@ -260,12 +258,11 @@ def _fill_t_ext(profile: TExtProfile, t: np.ndarray, out: np.ndarray) -> None:
     if isinstance(profile, ConstantTExt):
         out.fill(profile.value)
     elif isinstance(profile, SinusoidTExt):
-        # at()'s operations elementwise, in its order; the sine stays on
-        # math per value because numpy's differs in the last bit on some builds
+        # at()'s operations elementwise, in its order; a test checks np.sin against math.sin
         np.multiply(t, 2.0 * math.pi, out=out)
         out /= profile.period
         out += profile.phase
-        out[:] = np.fromiter(map(math.sin, memoryview(out)), np.float64, len(out))
+        np.sin(out, out=out)
         out *= profile.amplitude
         out += profile.mean
     else:
@@ -297,8 +294,7 @@ def _too_many_ticks(sc: Scenario) -> ValueError:
 def measurement_noise(scenario: Scenario) -> np.ndarray | None:
     """The scenario's measurement noise in K, one value per tick:
     noise_std * gaussian_column(rng_seed, num_ticks), or None without
-    noise.  Runs that share a seed and a horizon can draw it once and
-    pass it to :func:`run` as ``noise_source``."""
+    noise: :func:`run`'s ``noise_source``."""
     if scenario.noise_std > 0.0:
         try:
             return scenario.noise_std * gaussian_column(scenario.rng_seed, scenario.num_ticks)
@@ -310,9 +306,7 @@ def measurement_noise(scenario: Scenario) -> np.ndarray | None:
 def tick_columns(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The scenario's rows that depend only on the tick index, as the
     read-only rows (t, t_ext, y_star, y_star_dot) of one fresh 4 x n
-    array.  Runs that share a horizon, a tick, an outdoor profile, a
-    schedule and a reference mode can share them: :func:`run` takes them
-    as ``columns``."""
+    array: :func:`run`'s ``columns``."""
     n, dt = scenario.num_ticks, scenario.dt
     try:
         block = np.empty((4, n))
@@ -345,12 +339,11 @@ def _raise_first_non_finite(t, y, m, w, qc, ti: float, tw: float) -> None:
 def run(scenario: Scenario, noise_source: np.ndarray | None = None, columns: tuple[np.ndarray, ...] | None = None) -> Trace:
     """Simulate one closed-loop run and return its per-tick trace.
 
-    ``noise_source`` is the measurement noise in K, one value per tick;
-    by default it is :func:`measurement_noise`'s.  Tests pass tailored
-    streams, and callers whose runs share a seed pass one draw to all.
+    ``noise_source`` is the measurement noise in K, one value per tick,
+    by default :func:`measurement_noise`'s; tests pass tailored streams.
     ``columns`` is the scenario's :func:`tick_columns`, by default built
-    for this run; callers whose runs share them pass one set to all,
-    and the Traces share them too, not copies.
+    for this run, and the Trace shares them, not copies.
+    :func:`run_variants` passes one of each to the runs that share them.
     """
     sc = scenario
     n, dt, cfg = sc.num_ticks, sc.dt, sc.controller
@@ -470,18 +463,16 @@ def compute_metrics(trace: Trace) -> Metrics:
     if len(trace.t) < 2:
         raise ValueError("need at least two records to infer the tick length")
     dt = trace.t[1] - trace.t[0]
-    q, q_cmd = trace.q_applied, trace.q_command
+    q = trace.q_applied
+    s = np.empty(len(q))    # one scratch column, refilled by each metric in the order below
     with np.errstate(over="ignore", invalid="ignore"):
-        e = trace.t_int_true - trace.y_star
-        rmse, max_abs_error = float(np.sqrt(np.mean(e * e))), float(np.max(np.abs(e)))
-        del e    # one column fewer alive while the heat metrics take theirs
         metrics = Metrics(
-            rmse=rmse,
-            max_abs_error=max_abs_error,
-            energy=float(dt * np.sum(np.clip(q, 0.0, None))),
-            cooling_energy=float(dt * np.sum(np.clip(-q, 0.0, None))),
-            control_variation=float(np.sum(np.abs(np.diff(q)))),
-            saturation_fraction=float(np.mean(q_cmd != q)),
+            max_abs_error=float(np.max(np.abs(np.subtract(trace.t_int_true, trace.y_star, out=s), out=s))),
+            rmse=float(np.sqrt(np.mean(np.multiply(s, s, out=s)))),    # |e| * |e| is e * e, bit for bit
+            energy=float(dt * np.sum(np.clip(q, 0.0, None, out=s))),
+            cooling_energy=float(dt * np.sum(np.clip(np.negative(q, out=s), 0.0, None, out=s))),
+            control_variation=float(np.sum(np.abs(np.subtract(q[1:], q[:-1], out=s[1:]), out=s[1:]))),
+            saturation_fraction=float(np.mean(np.not_equal(trace.q_command, q, out=s))),
         )
     for name, value in metrics.as_dict().items():
         if not math.isfinite(value):
@@ -503,8 +494,8 @@ def spread(fn, items) -> list:
     may use: c - 1 forked children each run ``items[i::c]`` and send only
     their result list back through a pipe; the caller runs ``items[0::c]``.
     ``fn`` must be deterministic, and its only side effects may be whole
-    files that a rerun writes again byte for byte: :func:`sweep_point`
-    has none, and the CLI's ``compare`` writes each run's CSV and SVG.
+    files that a rerun writes again byte for byte, such as the CSV and
+    SVG that the CLI's ``compare`` writes per run in :func:`run_variants`.
     If the caller's share raises, a child's share does not arrive whole,
     or a pipe or a child cannot be made, the plain loop runs every item
     instead and returns or raises what the serial path does.  No child
@@ -557,29 +548,48 @@ def spread(fn, items) -> list:
 DEFAULT_SWEEP_FACTORS = (0.5, 0.75, 1.0, 1.5, 2.0)
 
 
-def sweep_point(scenario: Scenario, factor: float,
-                noise_source: np.ndarray | None = None, columns: tuple[np.ndarray, ...] | None = None) -> Metrics:
-    """The metrics of the scenario run on its plant with all five
-    parameters multiplied by ``factor``, the controller left as tuned,
-    on ``noise_source`` and ``columns`` as :func:`run` takes them.  That
-    plant is the scenario's with its heater gain divided by ``factor``
-    and the same time constants (:meth:`ThermalParams.scaled`).  A
-    product out of range raises ValueError naming its config key."""
+def scaled(scenario: Scenario, factor: float) -> Scenario:
+    """The scenario on its plant with all five parameters multiplied by
+    ``factor``, the controller left as tuned.  That plant is the
+    scenario's with its heater gain divided by ``factor`` and the same
+    time constants (:meth:`ThermalParams.scaled`).  A product out of
+    range raises ValueError naming its config key."""
     try:
         plant = scenario.plant.scaled(factor)
     except ValueError as exc:
         name = next(n for n in PARAMETERS if not 0.0 < getattr(scenario.plant, n) * factor < math.inf)
         raise ValueError(f"plant.{name} = {getattr(scenario.plant, name)!r} times sweep factor {factor!r}: {exc}") from None
-    return compute_metrics(run(replace(scenario, plant=plant), noise_source, columns))
+    return replace(scenario, plant=plant)
+
+
+def run_variants(variants, finish) -> list:
+    """``[(label, finish(label, run(sc))) for label, sc in variants]``,
+    the runs shared out over the CPUs by :func:`spread`, whose terms
+    ``finish`` must meet.  Before any run, the noise is drawn once per
+    (noise_std, rng_seed, num_ticks) and the :func:`tick_columns` are
+    built once per tick grid, outdoor profile, schedule and reference
+    mode, keyed by ``repr``: ``ConstantTExt(0.0) == ConstantTExt(-0.0)``,
+    but their columns differ in the sign of zero."""
+    noises, grids, items = {}, {}, []
+    for label, sc in variants:
+        noise_key = (sc.noise_std, sc.rng_seed, sc.num_ticks)
+        grid_key = repr((sc.num_ticks, sc.dt, sc.t_ext, sc.schedule, sc.reference_mode))
+        if noise_key not in noises:
+            noises[noise_key] = measurement_noise(sc)
+        if grid_key not in grids:
+            grids[grid_key] = tick_columns(sc)
+        items.append((label, sc, noises[noise_key], grids[grid_key]))
+
+    def one(item):
+        label, sc, noise, columns = item
+        return label, finish(label, run(sc, noise, columns))
+
+    return spread(one, items)
 
 
 def sweep(scenario: Scenario, factors: tuple[float, ...] = DEFAULT_SWEEP_FACTORS) -> list[tuple[float, Metrics]]:
-    """Re-run the scenario with all five plant parameters multiplied by
-    each factor, the runs spread over the CPUs.  Controller tuning is
+    """The metrics of the scenario re-run on its plant :func:`scaled` by
+    each factor, through :func:`run_variants`.  Controller tuning is
     deliberately left untouched: the point is to measure how each
-    strategy survives a plant it was not tuned for.  A uniform factor
-    changes the input gain only: the plant's heater gain is divided by
-    the factor, and its time constants do not change.  The runs share
-    one noise draw and one set of tick columns."""
-    noise, columns = measurement_noise(scenario), tick_columns(scenario)
-    return list(zip(factors, spread(lambda factor: sweep_point(scenario, factor, noise, columns), factors)))
+    strategy survives a plant it was not tuned for."""
+    return run_variants([(f, scaled(scenario, f)) for f in factors], lambda f, trace: compute_metrics(trace))

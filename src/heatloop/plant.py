@@ -50,7 +50,8 @@ class ThermalParams:
                 raise ValueError(f"ThermalParams.{name} must be a positive finite number, got {value!r}")
 
     def scaled(self, factor: float) -> "ThermalParams":
-        """All five parameters multiplied by ``factor`` (flag preserved).
+        """All five parameters multiplied by ``factor`` (flag preserved),
+        the plant of a robustness-sweep run (:func:`heatloop.engine.scaled`).
 
         Every coefficient of the model is a ratio of two parameters except
         the heater gain 1/c_a, so this is the same plant with its heater

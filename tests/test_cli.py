@@ -371,6 +371,20 @@ def test_sweep_overflowing_a_plant_parameter_names_its_key_and_factor(tmp_path, 
     assert no_child_left()
 
 
+def test_sweep_checks_every_factor_before_any_run(tmp_path, capsys, two_cpus, no_child_left):
+    # the (ip, 0.5) run overflows its metrics, but factor 2.0 takes c_a out
+    # of range, and the sweep builds all its scenarios before the first run
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("horizon = 600\nplant.c_a = 1e308\ninitial.t_int = 1e300\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "plant.c_a" in err and "sweep factor 2.0" in err
+    assert os.listdir(out) == []
+    assert no_child_left()
+
+
 def _raise_eagain():
     raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
@@ -653,6 +667,7 @@ def command_lines(draw):
 @example(case=(["run", "--plot"], "horizon = 600\n", "occupied"))
 @example(case=(["compare"], "horizon = 600\n", "occupied"))
 @example(case=(["sweep"], "horizon = 600\n", "occupied"))
+@example(case=(["sweep"], "horizon = 600\nplant.c_a = 1e308\ninitial.t_int = 1e300\n", "fresh"))
 def test_main_exits_0_2_or_3_on_any_command_line(case):
     args, text, shape = case
     err = io.StringIO()

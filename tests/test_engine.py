@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heatloop import engine
+from heatloop.cli import comparison_scenarios
 from heatloop.controllers import (
     CONTROLLERS,
     HEATING_AND_COOLING,
@@ -36,6 +38,7 @@ from heatloop.engine import (
     default_scenario,
     measurement_noise,
     run,
+    run_variants,
     spread,
     sweep,
     tick_columns,
@@ -150,6 +153,18 @@ def test_table_column_equals_at_every_tick(table_and_times):
     out = np.empty_like(t)
     _fill_t_ext(profile, t, out)
     assert out.tobytes() == np.array([profile.at(x) for x in t.tolist()]).tobytes()
+
+
+def test_numpy_sine_gives_the_bits_of_math_sine():
+    # the sinusoid column takes np.sin where at() takes math.sin: on the
+    # default grid's phases and on a million arguments spread over [-1e3, 1e3]
+    sc = default_scenario()
+    t = tick_columns(sc)[0]
+    phases = np.multiply(t, 2.0 * math.pi) / sc.t_ext.period + sc.t_ext.phase
+    wide = np.random.default_rng(0).uniform(-1e3, 1e3, 10**6)
+    for x in (phases, wide):
+        assert np.sin(x).tobytes() == np.array([math.sin(v) for v in x.tolist()]).tobytes()
+    assert tick_columns(sc)[1].tobytes() == np.array([sc.t_ext.at(v) for v in t.tolist()]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +426,54 @@ def test_energy_accounting_identity():
     total = sc.dt * sum(abs(q) for q in trace.q_applied.tolist())
     assert m.energy + m.cooling_energy == pytest.approx(total, rel=1e-12)
     assert m.cooling_energy > 0.0   # this scenario does cool
+
+
+def fresh_column_metrics(trace: Trace) -> Metrics:
+    """compute_metrics as plain numpy expressions, each on fresh columns."""
+    dt, q = trace.t[1] - trace.t[0], trace.q_applied
+    e = trace.t_int_true - trace.y_star
+    return Metrics(
+        rmse=float(np.sqrt(np.mean(e * e))),
+        max_abs_error=float(np.max(np.abs(e))),
+        energy=float(dt * np.sum(np.clip(q, 0.0, None))),
+        cooling_energy=float(dt * np.sum(np.clip(-q, 0.0, None))),
+        control_variation=float(np.sum(np.abs(np.diff(q)))),
+        saturation_fraction=float(np.mean(trace.q_command != q)),
+    )
+
+
+COMPARISON = dict(comparison_scenarios(default_scenario()))
+
+
+@pytest.mark.parametrize("name", [*COMPARISON, "heating_only", "zero", "negative_zero"])
+def test_metrics_have_the_bits_of_fresh_column_expressions(name):
+    if name in COMPARISON:
+        trace = run(COMPARISON[name])
+    else:
+        trace = run(default_scenario(actuator=ActuatorMode(mode=HEATING_ONLY)))
+        if name != "heating_only":    # all the heat one signed zero
+            q = np.full(len(trace.t), 0.0 if name == "zero" else -0.0)
+            trace = trace._replace(q_command=q, q_applied=q)
+    got, want = compute_metrics(trace), fresh_column_metrics(trace)
+    # hex tells the signs of zero apart, so cooling_energy keeps its sign
+    assert [v.hex() for v in got.as_dict().values()] == [v.hex() for v in want.as_dict().values()]
+
+
+# one scratch column and numpy's reduction buffers: 27,744 B on the
+# default trace, where two fresh columns alive at once take 46,080 B
+METRICS_PEAK_BOUND = 8 * default_scenario().num_ticks + 8192
+
+
+def test_metrics_hold_one_scratch_column():
+    trace = run(default_scenario())
+    compute_metrics(trace)    # first-call setup is not the metrics'
+    tracemalloc.start()
+    try:
+        compute_metrics(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= METRICS_PEAK_BOUND
 
 
 def test_heating_only_clamp_consistency():
@@ -825,3 +888,57 @@ def test_a_run_on_shared_inputs_stays_within_eight_columns(kind):
     finally:
         tracemalloc.stop()
     assert peak <= SHARED_PEAK_BOUND
+
+
+def shared_input_variants() -> list[tuple[str, Scenario]]:
+    """Two seeds, both reference modes, and two outdoor profiles that
+    differ only in the sign of a zero."""
+    sc = default_scenario(horizon=3600.0)
+    return [
+        ("ip_63", sc),
+        ("pi_step_63", replace(sc, controller=PiController(), reference_mode="step")),
+        ("ip_64", replace(sc, rng_seed=64)),
+        ("flat_pi_step_64", replace(sc, rng_seed=64, reference_mode="step",
+                                    controller=default_controller("flat_pi", NOMINAL))),
+        ("plus_zero_t_ext", replace(sc, t_ext=ConstantTExt(0.0))),
+        ("minus_zero_t_ext", replace(sc, t_ext=ConstantTExt(-0.0))),
+    ]
+
+
+def run_variants_against_plain_runs(counted: dict[str, int] | None = None) -> list[Trace]:
+    """The variants through run_variants, each checked against a plain
+    run of its scenario; their traces, in order.  ``counted``, if given,
+    counts the calls made so far: one noise draw per seed and one column
+    build per grid."""
+    variants = shared_input_variants()
+    rows = run_variants(variants, lambda label, trace: (compute_metrics(trace), trace))
+    if counted is not None:
+        assert counted == {"measurement_noise": 2, "tick_columns": 4}    # one per seed, one per grid
+    assert [label for label, _ in rows] == [label for label, _ in variants]
+    for (_, sc), (_, (metrics, trace)) in zip(variants, rows):
+        plain = run(sc)
+        assert metrics == compute_metrics(plain)
+        assert same_bits(trace, plain)
+    return [trace for _, (_, trace) in rows]
+
+
+def test_run_variants_share_inputs_within_a_group_only(monkeypatch, no_fork):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    calls = {"measurement_noise": 0, "tick_columns": 0}
+    for name in calls:
+        def counted(sc, name=name, fn=getattr(engine, name)):
+            calls[name] += 1
+            return fn(sc)
+
+        monkeypatch.setattr(engine, name, counted)
+    ip_63, pi_step_63, ip_64, flat_pi_step_64, plus_zero, minus_zero = run_variants_against_plain_runs(calls)
+    inputs = [0, 4, 5, 6]    # t, t_ext, y_star, y_star_dot
+    assert all(ip_63[i] is ip_64[i] and pi_step_63[i] is flat_pi_step_64[i] for i in inputs)
+    assert ip_63.t_ext is not pi_step_63.t_ext and ip_63.t_ext is not plus_zero.t_ext
+    assert plus_zero.t_ext is not minus_zero.t_ext
+    assert math.copysign(1.0, minus_zero.t_ext[0]) == -1.0
+
+
+def test_run_variants_in_forked_workers_equal_the_plain_runs(two_cpus, no_child_left):
+    run_variants_against_plain_runs()
+    assert no_child_left()
