@@ -13,8 +13,8 @@ A command writes into a fresh ``.heatloop-*`` directory under ``--out``,
 and its files move into ``--out`` with ``os.replace`` only once it has
 succeeded: a failed command leaves ``--out`` as it was.  Exit codes: 0
 on success, 2 for configuration or ``--out`` problems (the diagnostic
-names the offending file, key or path), 3 when a run aborts on a
-non-finite value.
+names the offending file, key or path) and for a run too long to hold
+in memory, 3 when a run aborts on a non-finite value.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .engine import (
     Scenario,
     SimulationError,
     Trace,
+    _too_many_ticks,
     compute_metrics,
     run,
     run_variants,
@@ -200,7 +201,10 @@ def main(argv: list[str] | None = None) -> int:
         flags = {_FLAG_KEYS[flag]: value for flag, value in vars(args).items() if flag in _FLAG_KEYS and value is not None}
         base = apply_entries(load_scenario(args.config), flags)
         with _staged(args.out) as stage:
-            args.func(args, base, stage)
+            try:
+                args.func(args, base, stage)
+            except MemoryError:    # an allocation the engine does not guard: a run too long, as for those it does
+                raise _too_many_ticks(base) from None
         return 0
     except (ValueError, SimulationError) as exc:    # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

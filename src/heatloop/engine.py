@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 import os
 import pickle
-from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Union
 
@@ -84,9 +83,6 @@ class ConstantTExt:
 
     kind = "constant"
 
-    def at(self, t: float) -> float:
-        return self.value
-
 
 @dataclass(frozen=True)
 class SinusoidTExt:
@@ -98,9 +94,6 @@ class SinusoidTExt:
     phase: float = -math.pi
 
     kind = "sinusoid"
-
-    def at(self, t: float) -> float:
-        return self.mean + self.amplitude * math.sin(2.0 * math.pi * t / self.period + self.phase)
 
 
 @dataclass(frozen=True)
@@ -122,18 +115,30 @@ class TableTExt:
             if not b > a:
                 raise ValueError("table times must be strictly increasing")
 
-    def at(self, t: float) -> float:
-        i = bisect_right(self.times, t)
-        if i <= 0:
-            return self.temps[0]
-        if i >= len(self.times):
-            return self.temps[-1]
-        t0, t1 = self.times[i - 1], self.times[i]
-        w = (t - t0) / (t1 - t0)
-        return self.temps[i - 1] * (1.0 - w) + self.temps[i] * w
-
 
 TExtProfile = Union[ConstantTExt, SinusoidTExt, TableTExt]
+
+
+def _fill_t_ext(profile: TExtProfile, t: np.ndarray, out: np.ndarray) -> None:
+    """Write the profile's outdoor temperature at every time in ``t``,
+    which ascends, into ``out``."""
+    if isinstance(profile, ConstantTExt):
+        out.fill(profile.value)
+    elif isinstance(profile, SinusoidTExt):
+        # a test holds np.sin to math.sin bit for bit
+        out[:] = profile.mean + profile.amplitude * np.sin(2.0 * math.pi * t / profile.period + profile.phase)
+    else:
+        # linear interpolation over each table segment's slice of ticks,
+        # which the ascending grid keeps contiguous: tick k is in segment i
+        # when times[i-1] <= t[k] < times[i]; the end values are held outside
+        times, temps = profile.times, profile.temps
+        edges = np.searchsorted(t, times).tolist()    # the first tick at or after each knot
+        out[:edges[0]] = temps[0]
+        out[edges[-1]:] = temps[-1]
+        for i in range(1, len(times)):
+            a, b = edges[i - 1], edges[i]
+            w = (t[a:b] - times[i - 1]) / (times[i] - times[i - 1])
+            out[a:b] = temps[i - 1] * (1.0 - w) + temps[i] * w
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +157,10 @@ DEFAULT_SCHEDULE = Schedule(
 
 DEFAULT_T_EXT = SinusoidTExt()
 
-DEFAULT_INITIAL = ThermalState(16.0, wall_equilibrium(16.0, DEFAULT_T_EXT.at(0.0)))
+# the room at the schedule's first setpoint, the wall at rest in the outdoor temperature at t = 0
+_t_int_0, _t_ext_0 = DEFAULT_SCHEDULE.segments[0][1], np.empty(1)
+_fill_t_ext(DEFAULT_T_EXT, np.zeros(1), _t_ext_0)
+DEFAULT_INITIAL = ThermalState(_t_int_0, wall_equilibrium(_t_int_0, float(_t_ext_0[0])))
 
 
 @dataclass(frozen=True)
@@ -250,39 +258,6 @@ class Trace(NamedTuple):
     q_command: np.ndarray
     q_applied: np.ndarray
     f_estim: np.ndarray | None
-
-
-def _fill_t_ext(profile: TExtProfile, t: np.ndarray, out: np.ndarray) -> None:
-    """Write ``profile.at`` of every time in ``t``, which ascends, into
-    ``out``, in place."""
-    if isinstance(profile, ConstantTExt):
-        out.fill(profile.value)
-    elif isinstance(profile, SinusoidTExt):
-        # at()'s operations elementwise, in its order; a test checks np.sin against math.sin
-        np.multiply(t, 2.0 * math.pi, out=out)
-        out /= profile.period
-        out += profile.phase
-        np.sin(out, out=out)
-        out *= profile.amplitude
-        out += profile.mean
-    else:
-        # at() over each table segment's slice of ticks, which the ascending
-        # grid keeps contiguous: tick k is in segment i when
-        # times[i-1] <= t[k] < times[i], i.e. when bisect_right gives i
-        times, temps = profile.times, profile.temps
-        edges = np.searchsorted(t, times).tolist()    # the first tick at or after each knot
-        out[:edges[0]] = temps[0]
-        out[edges[-1]:] = temps[-1]
-        for i in range(1, len(times)):
-            a, b = edges[i - 1], edges[i]
-            if a < b:
-                w = out[a:b]
-                np.subtract(t[a:b], times[i - 1], out=w)
-                w /= times[i] - times[i - 1]
-                upper = w * temps[i]
-                np.subtract(1.0, w, out=w)
-                w *= temps[i - 1]
-                w += upper
 
 
 def _too_many_ticks(sc: Scenario) -> ValueError:

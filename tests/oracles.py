@@ -11,6 +11,8 @@ implementation of the same thing, kept here because no command runs it:
   order.  ``map_step`` applies the map to a :class:`ThermalState` in the
   tick loop's order of operations, so that the loop can be held to a
   per-tick composition bit for bit;
+* outdoor temperature: ``t_ext_at``, each profile's value at one
+  instant, which ``_fill_t_ext`` must equal at every tick bit for bit;
 * reference: the per-instant generators ``step_reference``,
   ``smooth_reference`` and ``ramp_reference``, which ``fill_reference``
   must equal at every tick;
@@ -31,6 +33,7 @@ from bisect import bisect_right
 from collections import deque
 
 from heatloop.controllers import IpController, PiController
+from heatloop.engine import ConstantTExt, SinusoidTExt, TExtProfile
 from heatloop.estimation import slope_scale
 from heatloop.noise import _GOLDEN, _MASK
 from heatloop.plant import NOMINAL, ThermalParams, ThermalState, system_matrices
@@ -137,6 +140,28 @@ def exact_step(state: ThermalState, q: float, t_ext: float, dt: float, params: T
         eq.t_int + e11 * dx1 + e12 * dx2,
         eq.t_wall + e21 * dx1 + e22 * dx2,
     )
+
+
+# ---------------------------------------------------------------------------
+# the outdoor temperature
+
+
+def t_ext_at(profile: TExtProfile, t: float) -> float:
+    """The profile's outdoor temperature at time ``t``: the constant, the
+    sinusoid, or the table linearly interpolated with its end values held
+    outside it."""
+    if isinstance(profile, ConstantTExt):
+        return profile.value
+    if isinstance(profile, SinusoidTExt):
+        return profile.mean + profile.amplitude * math.sin(2.0 * math.pi * t / profile.period + profile.phase)
+    i = bisect_right(profile.times, t)
+    if i <= 0:
+        return profile.temps[0]
+    if i >= len(profile.times):
+        return profile.temps[-1]
+    t0, t1 = profile.times[i - 1], profile.times[i]
+    w = (t - t0) / (t1 - t0)
+    return profile.temps[i - 1] * (1.0 - w) + profile.temps[i] * w
 
 
 # ---------------------------------------------------------------------------

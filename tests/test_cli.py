@@ -534,6 +534,27 @@ def test_diverging_run_exits_3(tmp_path, capsys):
     assert "tick" in err
 
 
+@pytest.mark.parametrize("command", [["run"], ["compare"], ["sweep"]], ids=["run", "compare", "sweep"])
+def test_running_out_of_memory_exits_2_naming_the_horizon(tmp_path, monkeypatch, capsys, two_cpus, no_child_left,
+                                                          command):
+    # an allocation past the guarded ones fails, in the caller and in every forked worker
+    def out_of_memory(trace):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "compute_metrics", out_of_memory)
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("horizon = 7200\n", encoding="utf-8")
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "ip_heat.csv").write_bytes(b"mine\n")
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: horizon=7200.0 / dt=60.0 gives 120 ticks, too many to hold in memory\n"
+    assert "Traceback" not in err
+    assert _listing(str(out)) == {"ip_heat.csv": b"mine\n"}
+    assert no_child_left()
+
+
 EXTREME_INPUTS = {
     "tiny_dt": ("dt = 1e-300\nhorizon = 1e-299\n", 0, None),
     "subnormal_dt": ("dt = 1e-310\nhorizon = 1e-309\n", 3, "tick"),

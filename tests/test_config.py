@@ -27,6 +27,7 @@ from heatloop.controllers import (
 from heatloop.engine import ConstantTExt, Scenario, SinusoidTExt, TableTExt, default_scenario
 from heatloop.plant import NOMINAL, ThermalParams, ThermalState
 from heatloop.reference import Schedule
+from oracles import t_ext_at
 
 
 def test_empty_text_gives_default_scenario():
@@ -222,7 +223,7 @@ def test_table_t_ext_roundtrip_through_files(tmp_path):
 
     sc = load_scenario(str(cfg))
     assert sc.t_ext == TableTExt(times=(0.0, 3600.0, 7200.0), temps=(2.0, 6.0, 4.0), source="weather.csv")
-    assert sc.t_ext.at(1800.0) == pytest.approx(4.0)
+    assert t_ext_at(sc.t_ext, 1800.0) == pytest.approx(4.0)
 
     # serialization keeps the relative path, so the round trip needs the
     # same base directory

@@ -25,7 +25,9 @@ from heatloop.controllers import (
     flat_feedforward,
 )
 from heatloop.engine import (
+    DEFAULT_INITIAL,
     DEFAULT_SWEEP_FACTORS,
+    DEFAULT_T_EXT,
     ConstantTExt,
     Metrics,
     Scenario,
@@ -44,7 +46,7 @@ from heatloop.engine import (
     tick_columns,
     transition_spans,
 )
-from heatloop.plant import NOMINAL, ThermalState, rk4_map
+from heatloop.plant import NOMINAL, ThermalState, rk4_map, wall_equilibrium
 from heatloop.reference import Schedule
 from oracles import (
     REFERENCE_GENERATORS,
@@ -55,6 +57,7 @@ from oracles import (
     ip_control,
     map_step,
     pi_control,
+    t_ext_at,
 )
 
 
@@ -97,26 +100,26 @@ def equilibrium_scenario(**replacements) -> Scenario:
 
 def test_constant_profile():
     prof = ConstantTExt(3.5)
-    assert prof.at(0.0) == 3.5
-    assert prof.at(1e6) == 3.5
+    assert t_ext_at(prof, 0.0) == 3.5
+    assert t_ext_at(prof, 1e6) == 3.5
 
 
 def test_sinusoid_profile_daily_extremes():
     prof = SinusoidTExt()
     # phase -pi puts the minimum at 06:00 and the maximum at 18:00
-    assert prof.at(0.0) == pytest.approx(5.0, abs=1e-9)
-    assert prof.at(21600.0) == pytest.approx(0.0, abs=1e-9)
-    assert prof.at(64800.0) == pytest.approx(10.0, abs=1e-9)
-    assert prof.at(86400.0) == pytest.approx(5.0, abs=1e-9)
+    assert t_ext_at(prof, 0.0) == pytest.approx(5.0, abs=1e-9)
+    assert t_ext_at(prof, 21600.0) == pytest.approx(0.0, abs=1e-9)
+    assert t_ext_at(prof, 64800.0) == pytest.approx(10.0, abs=1e-9)
+    assert t_ext_at(prof, 86400.0) == pytest.approx(5.0, abs=1e-9)
 
 
 def test_table_profile_interpolates_and_clamps():
     prof = TableTExt(times=(0.0, 100.0, 300.0), temps=(2.0, 6.0, 0.0))
-    assert prof.at(0.0) == pytest.approx(2.0)
-    assert prof.at(50.0) == pytest.approx(4.0)
-    assert prof.at(200.0) == pytest.approx(3.0)
-    assert prof.at(-10.0) == pytest.approx(2.0)   # held before the table
-    assert prof.at(1000.0) == pytest.approx(0.0)  # held after the table
+    assert t_ext_at(prof, 0.0) == pytest.approx(2.0)
+    assert t_ext_at(prof, 50.0) == pytest.approx(4.0)
+    assert t_ext_at(prof, 200.0) == pytest.approx(3.0)
+    assert t_ext_at(prof, -10.0) == pytest.approx(2.0)   # held before the table
+    assert t_ext_at(prof, 1000.0) == pytest.approx(0.0)  # held after the table
 
 
 def test_table_profile_validation():
@@ -152,11 +155,11 @@ def test_table_column_equals_at_every_tick(table_and_times):
     profile, t = table_and_times
     out = np.empty_like(t)
     _fill_t_ext(profile, t, out)
-    assert out.tobytes() == np.array([profile.at(x) for x in t.tolist()]).tobytes()
+    assert out.tobytes() == np.array([t_ext_at(profile, x) for x in t.tolist()]).tobytes()
 
 
 def test_numpy_sine_gives_the_bits_of_math_sine():
-    # the sinusoid column takes np.sin where at() takes math.sin: on the
+    # the sinusoid column takes np.sin where t_ext_at takes math.sin: on the
     # default grid's phases and on a million arguments spread over [-1e3, 1e3]
     sc = default_scenario()
     t = tick_columns(sc)[0]
@@ -164,7 +167,14 @@ def test_numpy_sine_gives_the_bits_of_math_sine():
     wide = np.random.default_rng(0).uniform(-1e3, 1e3, 10**6)
     for x in (phases, wide):
         assert np.sin(x).tobytes() == np.array([math.sin(v) for v in x.tolist()]).tobytes()
-    assert tick_columns(sc)[1].tobytes() == np.array([sc.t_ext.at(v) for v in t.tolist()]).tobytes()
+    assert tick_columns(sc)[1].tobytes() == np.array([t_ext_at(sc.t_ext, v) for v in t.tolist()]).tobytes()
+
+
+def test_default_initial_state_is_the_first_setpoint_over_a_wall_at_rest():
+    # the column fill at t = 0 gives the per-instant profile's value, bit for bit
+    assert DEFAULT_INITIAL.t_int == 16.0
+    assert DEFAULT_INITIAL.t_wall == wall_equilibrium(16.0, t_ext_at(DEFAULT_T_EXT, 0.0))
+    assert repr(DEFAULT_INITIAL.t_wall) == "15.527343749999998"
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +262,7 @@ def test_records_carry_the_tick_grid():
     assert len(trace.t) == 10
     assert trace.t.tolist() == [60.0 * k for k in range(10)]
     for t, t_ext in zip(trace.t.tolist(), trace.t_ext.tolist()):
-        assert t_ext == pytest.approx(sc.t_ext.at(t), abs=1e-12)
+        assert t_ext == pytest.approx(t_ext_at(sc.t_ext, t), abs=1e-12)
 
 
 def test_non_finite_measurement_aborts_with_tick():
@@ -659,7 +669,7 @@ def reference_run(sc: Scenario, noise_source: np.ndarray | None = None) -> Trace
     state, rows = sc.initial, []
     for k in range(sc.num_ticks):
         t = k * dt
-        t_ext = sc.t_ext.at(t)
+        t_ext = t_ext_at(sc.t_ext, t)
         y_star, y_star_dot = generator(sc.schedule, t)
         if noise_source is not None:
             noise = float(noise_source[k])

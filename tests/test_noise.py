@@ -138,3 +138,10 @@ def test_gaussian_column_matches_scalar(seed, n):
     col = gaussian_column(seed, n)
     assert col.dtype == np.float64 and col.shape == (n,)
     assert col.tolist() == [gaussian(seed, k) for k in range(n)]
+
+
+def test_numpy_cosine_gives_the_bits_of_math_cosine():
+    # the column takes np.cos where the one-draw stream takes math.cos: on
+    # the angles of seed 63's first million draws, a full run's among them
+    angle = (2.0 * math.pi) * _uniform_column(63, 2 * 10**6)[1::2]
+    assert np.cos(angle).tobytes() == np.array([math.cos(v) for v in angle.tolist()]).tobytes()
