@@ -195,6 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code; a MemoryError exits 2."""
     args = _build_parser().parse_args(argv)
     try:
         # the --config scenario with each given flag applied as its config entry
@@ -203,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
         with _staged(args.out) as stage:
             try:
                 args.func(args, base, stage)
-            except MemoryError:    # an allocation the engine does not guard: a run too long, as for those it does
+            except MemoryError:    # from any allocation of any run: the scenario is too long for this machine
                 raise _too_many_ticks(base) from None
         return 0
     except (ValueError, SimulationError) as exc:    # ConfigError is a ValueError

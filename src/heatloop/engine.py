@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import sys
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Union
 
@@ -152,7 +153,6 @@ DEFAULT_SCHEDULE = Schedule(
         (111600.0, 19.0),
         (165600.0, 16.0),
     ),
-    transition_duration=3600.0,
 )
 
 DEFAULT_T_EXT = SinusoidTExt()
@@ -161,6 +161,12 @@ DEFAULT_T_EXT = SinusoidTExt()
 _t_int_0, _t_ext_0 = DEFAULT_SCHEDULE.segments[0][1], np.empty(1)
 _fill_t_ext(DEFAULT_T_EXT, np.zeros(1), _t_ext_0)
 DEFAULT_INITIAL = ThermalState(_t_int_0, wall_equilibrium(_t_int_0, float(_t_ext_0[0])))
+
+
+def _too_many_ticks(sc: Scenario) -> ValueError:
+    # .16g writes a count below 1e16 whole and a larger one in a few digits
+    ticks = f"{sc.num_ticks:.16g} ticks"
+    return ValueError(f"horizon={sc.horizon!r} / dt={sc.dt!r} gives {ticks}, too many to hold in memory")
 
 
 @dataclass(frozen=True)
@@ -172,7 +178,8 @@ class Scenario:
     amplitude 5, period 24 h) and 0.05 K measurement noise.  The seed is
     part of the freeze: metrics quoted in the tests assume this exact
     noise stream.  Construction checks every field and raises ValueError,
-    so every Scenario, default_scenario's and replace's too, is valid."""
+    so every Scenario, default_scenario's and replace's too, is valid and
+    has arrays numpy can make; a run too long for memory raises MemoryError."""
 
     horizon: float = 172800.0
     dt: float = 60.0
@@ -213,6 +220,8 @@ class Scenario:
         if n < 2:
             # metrics and plots need the tick length, which one tick does not give
             raise ValueError(f"horizon={self.horizon!r} / dt={self.dt!r} gives {n} tick, a run needs at least 2")
+        if n > sys.maxsize // 48:    # run's 6 x n float64 buffer, a run's largest array, is past numpy's
+            raise _too_many_ticks(self)
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
             raise ValueError(f"noise_std must be nonnegative, got {self.noise_std!r}")
         if isinstance(self.t_ext, SinusoidTExt):
@@ -260,33 +269,21 @@ class Trace(NamedTuple):
     f_estim: np.ndarray | None
 
 
-def _too_many_ticks(sc: Scenario) -> ValueError:
-    # .16g writes a count below 1e16 whole and a larger one in a few digits
-    ticks = f"{sc.num_ticks:.16g} ticks"
-    return ValueError(f"horizon={sc.horizon!r} / dt={sc.dt!r} gives {ticks}, too many to hold in memory")
-
-
 def measurement_noise(scenario: Scenario) -> np.ndarray | None:
     """The scenario's measurement noise in K, one value per tick:
     noise_std * gaussian_column(rng_seed, num_ticks), or None without
-    noise: :func:`run`'s ``noise_source``."""
+    noise: :func:`run`'s ``noise_source``.  MemoryError if it does not fit."""
     if scenario.noise_std > 0.0:
-        try:
-            return scenario.noise_std * gaussian_column(scenario.rng_seed, scenario.num_ticks)
-        except (MemoryError, ValueError):    # numpy raises ValueError past its largest array
-            raise _too_many_ticks(scenario) from None
+        return scenario.noise_std * gaussian_column(scenario.rng_seed, scenario.num_ticks)
     return None
 
 
 def tick_columns(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The scenario's rows that depend only on the tick index, as the
     read-only rows (t, t_ext, y_star, y_star_dot) of one fresh 4 x n
-    array: :func:`run`'s ``columns``."""
+    array: :func:`run`'s ``columns``.  MemoryError if it does not fit."""
     n, dt = scenario.num_ticks, scenario.dt
-    try:
-        block = np.empty((4, n))
-    except (MemoryError, ValueError):
-        raise _too_many_ticks(scenario) from None
+    block = np.empty((4, n))
     t, t_ext, y_star, y_star_dot = block
     t[:] = np.arange(n)
     t *= dt
@@ -332,10 +329,7 @@ def run(scenario: Scenario, noise_source: np.ndarray | None = None, columns: tup
     if columns is None:
         columns = tick_columns(sc)
     t, t_ext, y_star, y_star_dot = columns
-    try:
-        buf = np.empty((6, n))    # a row per other field of Trace, so each is contiguous
-    except (MemoryError, ValueError):
-        raise _too_many_ticks(sc) from None
+    buf = np.empty((6, n))    # a row per other field of Trace, so each is contiguous
 
     # the inputs: every row the loop reads is filled before it starts
     t_int, measured, t_wall, q_cmd, q_app, f_row = buf

@@ -537,7 +537,7 @@ def test_diverging_run_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("command", [["run"], ["compare"], ["sweep"]], ids=["run", "compare", "sweep"])
 def test_running_out_of_memory_exits_2_naming_the_horizon(tmp_path, monkeypatch, capsys, two_cpus, no_child_left,
                                                           command):
-    # an allocation past the guarded ones fails, in the caller and in every forked worker
+    # an allocation fails, in the caller and in every forked worker
     def out_of_memory(trace):
         raise MemoryError
 
@@ -562,9 +562,14 @@ EXTREME_INPUTS = {
     "tick_count_overflow": ("horizon = 1e308\ndt = 1e-10\n", 2, "horizon"),
     # 80 PB of trace: beyond any address space, so no overcommit hides it
     "unallocatable_trace": ("horizon = 1e15\ndt = 1.0\n", 2, "horizon=1000000000000000.0 / dt=1.0 gives 1000000000000000 ticks"),
-    # past numpy's largest array, from the noise draw or, without noise, the trace buffer
-    "oversized_trace": ("horizon = 1e300\n", 2, "horizon=1e+300 / dt=60.0 gives 1.666666666666667e+298 ticks"),
-    "oversized_trace_no_noise": ("horizon = 1e300\nnoise_std = 0\n", 2, "horizon=1e+300 / dt=60.0 gives 1.666666666666667e+298 ticks"),
+    # past numpy's largest array: refused when the scenario is built, with or without noise
+    "oversized_trace": ("horizon = 1e300\n", 2, "extreme.cfg: horizon=1e+300 / dt=60.0 gives 1.666666666666667e+298 ticks"),
+    "oversized_trace_no_noise": (
+        "horizon = 1e300\nnoise_std = 0\n", 2, "extreme.cfg: horizon=1e+300 / dt=60.0 gives 1.666666666666667e+298 ticks",
+    ),
+    # inside numpy's largest array, so the scenario builds: its noise draw,
+    # 1.39 EiB, fails with MemoryError, past any address space
+    "exabyte_trace": ("horizon = 1e17\ndt = 1.0\n", 2, "horizon=1e+17 / dt=1.0 gives 1e+17 ticks"),
     "metric_overflow": ("initial.t_int = 1e300\n", 3, "rmse"),
     # t / 3600 underflows to 0 on both ticks: the plot's time axis collapses
     "collapsed_time_axis": ("dt = 5e-324\nhorizon = 1e-323\n", 0, None),
@@ -618,6 +623,9 @@ def test_extreme_inputs_exit_cleanly(tmp_path, run_python, command, text, code, 
     if code:
         # whichever run fails, and however, the command leaves no file behind
         assert (os.listdir(out) if out.exists() else []) == []
+    if proc.stderr.startswith(f"error: {cfg}: "):
+        # refused with its config, before --out is created
+        assert not out.exists()
 
 
 def test_module_entry_point_help(run_python):

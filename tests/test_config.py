@@ -387,6 +387,8 @@ def test_validation_failures_become_config_errors():
         parse_scenario("noise_std = -1\n")
     with pytest.raises(ConfigError, match="horizon"):
         parse_scenario("horizon = -3600\n")
+    with pytest.raises(ConfigError, match=r"^horizon=1e\+300 / dt=60\.0 gives .* too many to hold in memory"):
+        parse_scenario("horizon = 1e300\n")
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,8 @@ def test_default_scenario_is_valid():
         ({"plant": replace(NOMINAL, c_a=1e-300)}, "dt=60.0 is past the RK4 stability limit"),
         # k_c / c_a overflows, so the fast rate is infinite
         ({"plant": replace(NOMINAL, c_a=1e-310)}, "dt=60.0 is past the RK4 stability limit"),
+        # run's 6 x n float64 buffer would be past sys.maxsize bytes
+        ({"horizon": 2.0 ** 58, "dt": 1.0}, r"gives 2\.882303761517117e\+17 ticks, too many to hold in memory"),
     ],
 )
 def test_scenario_validation_rejects(replacements, match):
@@ -225,6 +227,28 @@ def test_scenario_rejects_unknown_controller():
 def test_replace_checks_the_scenario_it_builds():
     with pytest.raises(ValueError, match="divide"):
         replace(default_scenario(), dt=7.0)
+
+
+def test_a_scenario_just_inside_numpys_largest_array_builds():
+    # built only, never run: its arrays fit numpy, not any machine
+    assert Scenario(horizon=2.0 ** 57, dt=1.0).num_ticks == 2 ** 57
+
+
+_TOO_LONG_FOR_MEMORY = {
+    "run": lambda sc: run(sc),
+    "run_variants": lambda sc: run_variants([("a", sc)], lambda label, trace: None),
+    "sweep": lambda sc: sweep(sc),
+}
+
+
+@pytest.mark.parametrize("noise_std", [0.05, 0.0], ids=["noise", "no_noise"])
+@pytest.mark.parametrize("call", _TOO_LONG_FOR_MEMORY.values(), ids=list(_TOO_LONG_FOR_MEMORY))
+def test_a_run_too_long_for_memory_raises_memory_error(call, noise_std):
+    # 10^17 ticks: the first allocation, the noise draw's 16 B a tick or the
+    # columns' 32, is at least 1.39 EiB, past any address space
+    sc = Scenario(horizon=1e17, dt=1.0, noise_std=noise_std)
+    with pytest.raises(MemoryError):
+        call(sc)
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +674,7 @@ def test_sweep_spread_equals_the_plain_runs(two_cpus, no_child_left):
 
 def reference_run(sc: Scenario, noise_source: np.ndarray | None = None) -> Trace:
     """The run composed tick by tick from the scalar pieces: the noise
-    draw (or ``noise_source``), ``t_ext.at``, the reference generator,
+    draw (or ``noise_source``), ``t_ext_at``, the reference generator,
     SlopeEstimator with estimate_F and ip_control, or flat_feedforward
     plus pi_control, the clamp to ActuatorMode.bounds, the integral
     frozen while the clamp is active, and rk4_map's coefficients applied
