@@ -26,17 +26,22 @@ from heatloop import (
     default_scenario,
     run,
 )
+from heatloop.cli import comparison_scenarios
+from heatloop.controllers import flat_feedforward, place_flat_p_gain
+from heatloop.plant import system_matrices
 from heatloop.svgplot import write_svg
 
 OUT = Path(__file__).parent / "output"
 
 
 def predicted_offset(setpoint: float, t_ext: float) -> float:
-    # closed-loop statics of feedforward + P at pole -0.01: the plant's
-    # static K-per-watt gain g against the placed corrector gain
-    g = 256.0 / 16.424
-    q_ff = (NOMINAL.k_c + NOMINAL.k_f) * setpoint
-    k_p = NOMINAL.c_a * (-0.01) + (NOMINAL.k_c + NOMINAL.k_f)
+    # closed-loop statics of feedforward + P at the default pole: the
+    # plant's static K-per-watt gain g, -(A^-1)[0][0] * b_q, against the
+    # placed corrector gain
+    (a11, a12, a21, a22), (b_q, _, _) = system_matrices(NOMINAL)
+    g = -a22 * b_q / (a11 * a22 - a12 * a21)
+    q_ff = flat_feedforward(setpoint, 0.0, NOMINAL)
+    k_p = place_flat_p_gain(FlatPController().pole, NOMINAL)
     return (g * q_ff - (setpoint - t_ext)) / (1.0 - g * k_p)
 
 
@@ -45,7 +50,7 @@ def main() -> None:
     base = default_scenario()
 
     print("Part 1: flat+P against an unmeasured constant load")
-    sc = replace(base, controller=FlatPController(pole=-0.01, model=NOMINAL),
+    sc = replace(base, controller=FlatPController(),
                  t_ext=ConstantTExt(5.0), noise_std=0.0)
     trace = run(sc)
     plateau = (158400.0 <= trace.t) & (trace.t < 165600.0)
@@ -59,8 +64,8 @@ def main() -> None:
     print()
     print(f"{'run':<16}  {'rmse':>8}  {'control variation':>18}")
     rows = {
-        "flat_pi_fast": FlatPiController(double_pole=-0.005, model=NOMINAL),
-        "flat_pi_slow": FlatPiController(double_pole=-0.001, model=NOMINAL),
+        "flat_pi_fast": FlatPiController(),
+        "flat_pi_slow": dict(comparison_scenarios(base))["flat_pi_slow"].controller,
         "ip": None,
     }
     metrics = {}

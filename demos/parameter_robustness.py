@@ -11,25 +11,14 @@ wrong.
 
 from dataclasses import replace
 
-from heatloop import (
-    FlatPController,
-    FlatPiController,
-    IpController,
-    PiController,
-    default_scenario,
-    sweep,
-)
+from heatloop import default_scenario, sweep
+from heatloop.controllers import CONTROLLERS, default_controller
 from heatloop.engine import DEFAULT_SWEEP_FACTORS
 
 
 def main() -> None:
     base = default_scenario()
-    controllers = {
-        "ip": IpController(),
-        "pi": PiController(),
-        "flat_p": FlatPController(model=base.plant),
-        "flat_pi": FlatPiController(model=base.plant),
-    }
+    controllers = {kind: default_controller(kind, base.plant) for kind in CONTROLLERS}
 
     print("rmse (K) with all plant parameters scaled, tuning held fixed")
     print()

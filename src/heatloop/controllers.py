@@ -41,6 +41,12 @@ class IpController:
     """Ultra-local input gain alpha, proportional gain k_p (1/s) and the
     slope-fit window in samples.
 
+    The ultra-local model y' = F + alpha*u lumps into F all the law does
+    not know.  Each tick F = dy_hat - alpha*u_prev, u_prev the input
+    already applied (which keeps the estimate causal), dy_hat the
+    least-squares slope over the last window_len measured values: on the
+    uniform tick grid, a fixed FIR filter (first-derivative Savitzky-Golay).
+
     alpha is a loop-shaping knob, not a physical parameter: rescaling
     (alpha, u) to (c*alpha, u/c) leaves the applied physical heat
     unchanged when F_estim is recomputed consistently.

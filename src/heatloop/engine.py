@@ -55,7 +55,6 @@ from .controllers import (
     PiController,
     flat_feedforward,
 )
-from .estimation import slope_scale
 from .noise import gaussian_column
 from .plant import (
     NOMINAL,
@@ -78,11 +77,21 @@ class SimulationError(RuntimeError):
 # outdoor temperature profiles
 
 
+def _require_finite(profile, values) -> None:
+    """ValueError naming the first (field, value) in ``values`` that is not finite."""
+    for name, value in values:
+        if not math.isfinite(value):
+            raise ValueError(f"{type(profile).__name__}.{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ConstantTExt:
     value: float = 5.0
 
     kind = "constant"
+
+    def __post_init__(self) -> None:
+        _require_finite(self, [("value", self.value)])
 
 
 @dataclass(frozen=True)
@@ -95,6 +104,9 @@ class SinusoidTExt:
     phase: float = -math.pi
 
     kind = "sinusoid"
+
+    def __post_init__(self) -> None:
+        _require_finite(self, [(f.name, getattr(self, f.name)) for f in fields(self)])
 
 
 @dataclass(frozen=True)
@@ -112,6 +124,7 @@ class TableTExt:
     def __post_init__(self) -> None:
         if len(self.times) != len(self.temps) or len(self.times) < 2:
             raise ValueError("table profile needs at least two (time, temp) rows")
+        _require_finite(self, [(f"{n}[{i}]", v) for n in ("times", "temps") for i, v in enumerate(getattr(self, n))])
         for a, b in zip(self.times, self.times[1:]):
             if not b > a:
                 raise ValueError("table times must be strictly increasing")
@@ -338,11 +351,14 @@ def run(scenario: Scenario, noise_source: np.ndarray | None = None, columns: tup
     ip = isinstance(cfg, IpController)
     if ip:
         w = cfg.window_len
-        warm, scale, alpha, k_p = w - 1, slope_scale(w, dt), cfg.alpha, cfg.k_p
+        warm, alpha, k_p = w - 1, cfg.alpha, cfg.k_p
         # the least-squares slope over the measured row: (weight, offset of
         # the newer sample, offset of the older) per mirror pair, in order;
         # a window longer than the run never fills and needs none
         pairs = [(float(w - 1 - 2 * i), i, w - 1 - i) for i in range(w // 2)] if w <= n else []
+        # least-squares weights are (j - (w-1)/2) / (dt * w(w^2-1)/12);
+        # a mirror pair's offset is (w-1-2i)/2, whose 1/2 is folded in here
+        scale = 6.0 / (dt * (w * (w * w - 1)))
     elif isinstance(cfg, PiController):
         k_p, k_i = cfg.k_p, cfg.k_i
         # -0.0 + x == x for every x, sign of zero included, so without a

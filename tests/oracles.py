@@ -17,8 +17,9 @@ implementation of the same thing, kept here because no command runs it:
   ``smooth_reference`` and ``ramp_reference``, which ``fill_reference``
   must equal at every tick;
 * estimation: ``SlopeEstimator``, the least-squares slope over a ring
-  of the last W samples, which the tick loop's mirror-pair sum must
-  equal, and ``estimate_F``, the disturbance estimate from that slope;
+  of the last W samples, its scale stated here as in ``run``, which the
+  tick loop's mirror-pair sum must equal, and ``estimate_F``, the
+  disturbance estimate from that slope;
 * control laws: ``ip_control`` and ``pi_control``, the two laws as
   plain functions, which the tick loop writes out inline with the same
   operations in the same order;
@@ -34,7 +35,6 @@ from collections import deque
 
 from heatloop.controllers import IpController, PiController
 from heatloop.engine import ConstantTExt, SinusoidTExt, TExtProfile
-from heatloop.estimation import slope_scale
 from heatloop.noise import _GOLDEN, _MASK
 from heatloop.plant import NOMINAL, ThermalParams, ThermalState, system_matrices
 from heatloop.reference import Schedule, _linear_blend, _quintic_blend
@@ -225,7 +225,9 @@ class SlopeEstimator:
         # the deque allocates as it fills, and the scale is closed-form,
         # so a huge window costs nothing until samples arrive
         self._ring = deque(maxlen=window_len)
-        self._scale = slope_scale(window_len, dt)
+        # least-squares weights are (j - (W-1)/2) / (dt * W*(W^2-1)/12);
+        # a mirror pair's offset is (W-1-2i)/2, whose 1/2 is folded in here
+        self._scale = 6.0 / (dt * (window_len * (window_len * window_len - 1)))
 
     def push(self, y: float) -> None:
         self._ring.append(y)

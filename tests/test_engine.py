@@ -131,6 +131,23 @@ def test_table_profile_validation():
         TableTExt(times=(0.0, 1.0), temps=(1.0,))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: ConstantTExt(math.nan), "ConstantTExt.value must be finite, got nan"),
+    (lambda: SinusoidTExt(mean=math.inf), "SinusoidTExt.mean must be finite, got inf"),
+    (lambda: SinusoidTExt(amplitude=-math.inf), "SinusoidTExt.amplitude must be finite, got -inf"),
+    # an infinite period used to build a constant column
+    (lambda: SinusoidTExt(period=math.inf), "SinusoidTExt.period must be finite, got inf"),
+    (lambda: SinusoidTExt(phase=math.inf), "SinusoidTExt.phase must be finite, got inf"),
+    (lambda: TableTExt((0.0, 3600.0), (5.0, math.nan)), r"TableTExt.temps\[1\] must be finite, got nan"),
+    (lambda: TableTExt((math.nan, 3600.0), (5.0, 6.0)), r"TableTExt.times\[0\] must be finite, got nan"),
+    (lambda: TableTExt((0.0, math.inf), (5.0, 6.0)), r"TableTExt.times\[1\] must be finite, got inf"),
+], ids=["constant", "mean", "amplitude", "period", "phase", "table_temp", "table_nan_time", "table_inf_time"])
+def test_profiles_refuse_non_finite_fields(build, message):
+    # named when the profile is built, not as a non-finite plant state at tick 0
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 @st.composite
 def tables_and_times(draw):
     """A table and an ascending grid of times before, inside and after
