@@ -2,13 +2,24 @@
 
 No plotting dependency: the CLI only needs a quick two-panel view
 (temperatures on top, heat below), so the file is emitted directly.
-Coordinates are computed a whole column at a time and each polyline is
-formatted by one %-template, with the same arithmetic and text as a
-per-point f"{x:.1f},{y:.1f}" loop.
+Coordinates are computed a whole column at a time, with the same
+arithmetic and text as a per-point f"{x:.1f},{y:.1f}" loop.
+
+Each coordinate's "%.1f" text is looked up, not formatted.  With
+k = rint(10 v), a value that is non-negative and below 1000, and whose
+10 v is not within 1e-6 of a half, is written as two table cells,
+k // 10 and k % 10, and one join over the cells gives the points string.
+That is exactly "%.1f": below 1000, 10 v is computed within 2**-40 of
+its true value, and no double is a tie at one decimal ((2m+1)/20 is not
+dyadic), so rint picks the digit that correct rounding picks.  Every
+other value (negatives, -0.0, 1000 or more, nan, +-inf, near-halves)
+falls back to "%.1f" % v, so every byte is the same as formatting each
+value.
 """
 
 from __future__ import annotations
 
+import html
 import math
 
 import numpy as np
@@ -21,6 +32,9 @@ _MARGIN_L = 70
 _MARGIN_R = 20
 _MARGIN_T = 40
 _GAP = 50
+
+_WHOLE = np.array([str(i) for i in range(1000)], dtype=object)
+_TENTHS = np.array([".%d" % i for i in range(10)], dtype=object)
 
 
 def _widen(lo: float, hi: float) -> tuple[float, float]:
@@ -35,6 +49,26 @@ def _bounds(values: np.ndarray) -> tuple[float, float]:
         lo, hi = _widen(lo, hi)
     pad = 0.05 * (hi - lo)
     return lo - pad, hi + pad
+
+
+def _on_table(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """k = rint(10 v), and where the tables give v's "%.1f" text from k."""
+    with np.errstate(all="ignore"):    # 10 v overflows to inf quietly
+        ten = 10.0 * v
+        k = np.rint(ten)
+        return k, ~np.signbit(v) & (k < 10000.0) & (np.abs(ten - k) < 0.5 - 1e-6)
+
+
+def _one_decimal(v: np.ndarray, out: np.ndarray) -> None:
+    """Write "%.1f" % v into out's first two columns, as two cells a value."""
+    k, fast = _on_table(v)
+    whole, tenth = np.divmod(np.where(fast, k, 0.0).astype(np.intp), 10)
+    out[:, 0] = _WHOLE[whole]
+    out[:, 1] = _TENTHS[tenth]
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        out[slow, 0] = ["%.1f" % x for x in v[slow].tolist()]
+        out[slow, 1] = ""
 
 
 class _Panel:
@@ -53,8 +87,12 @@ class _Panel:
 
     def polyline(self, ts: np.ndarray, vs: np.ndarray, color: str, dash: str = "") -> str:
         with np.errstate(all="ignore"):    # float arithmetic overflows to inf/nan quietly
-            xy = np.column_stack((self.x(ts), self.y(vs))).ravel().tolist()
-        pts = " ".join(["%.1f,%.1f"] * len(ts)) % tuple(xy)
+            xy = np.column_stack((self.x(ts), self.y(vs))).ravel()
+        cells = np.empty((len(xy), 3), dtype=object)    # x "," y " " a point
+        _one_decimal(xy, cells)
+        cells[0::2, 2] = ","
+        cells[1::2, 2] = " "
+        pts = "".join(cells.ravel().tolist())[:-1]
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         return f'<polyline fill="none" stroke="{color}" stroke-width="1.2"{dash_attr} points="{pts}"/>'
 
@@ -88,7 +126,7 @@ def render_svg(trace: Trace, title: str = "") -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{height}" '
         f'viewBox="0 0 {_WIDTH} {height}" font-family="sans-serif">',
-        f'<text x="{_WIDTH / 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
+        f'<text x="{_WIDTH / 2}" y="20" text-anchor="middle" font-size="14">{html.escape(title, quote=False)}</text>',
     ]
     parts += top_panel.frame("temperature (C)")
     parts.append(top_panel.polyline(hours, t_ext, "#bbbbbb"))

@@ -1,23 +1,31 @@
 """The CSV and SVG writers against slow per-value oracles.
 
-The writers format numpy columns with %-templates, the CSV in row blocks.
-The oracles below are the per-value forms they replaced: one
+The CSV writer formats numpy columns with %-templates, in row blocks.
+The SVG writer looks each coordinate's "%.1f" text up in two small
+tables (whole part below 1000, then the tenth) from k = rint(10 v), and
+falls back to "%.1f" % v for negatives, -0.0, 1000 or more, nan, +-inf
+and values whose 10 v is within 1e-6 of a half; every byte is
+unchanged.  The oracles below are the per-value forms they replaced: one
 ``format(v, ".9g")`` per CSV cell and one ``f"{x:.1f},{y:.1f}"`` per
 polyline point, with the coordinates computed in Python floats.  The
-text must be equal, not close.
+text must be equal, not close.  The table lookup is checked against
+"%.1f" at every tenth and half-tenth below 1000, and the seven
+``compare`` runs must draw every coordinate from the tables.
 """
 
 import math
 import tracemalloc
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from heatloop import svgplot
 from heatloop.cli import _CSV_BLOCK_ROWS, comparison_scenarios, write_timeseries_csv
 from heatloop.engine import Trace, default_scenario, run
 from heatloop.svgplot import (
-    _GAP, _MARGIN_L, _MARGIN_R, _MARGIN_T, _PANEL_H, _WIDTH, _Panel, _bounds, render_svg, write_svg,
+    _GAP, _MARGIN_L, _MARGIN_R, _MARGIN_T, _PANEL_H, _WIDTH, _Panel, _bounds, _one_decimal, render_svg, write_svg,
 )
 
 
@@ -169,6 +177,80 @@ def test_polyline_matches_per_point_oracle(panel, data):
         vs = data.draw(st.lists(VALUES, min_size=n, max_size=n))
     line = panel.polyline(np.array(ts, dtype=float), np.array(vs, dtype=float), "#000")
     assert _points_of(line) == oracle_points(panel, ts, vs)
+
+
+def one_decimal_text(values) -> list[str]:
+    v = np.array(values, dtype=float)
+    out = np.empty((len(v), 2), dtype=object)
+    _one_decimal(v, out)
+    return ["".join(cells) for cells in out.tolist()]
+
+
+def _tenths_and_halves() -> np.ndarray:
+    # every k/10 and (2k+1)/20 below 1000, each with 1-3 ulps either side
+    centres = np.concatenate((np.arange(10000) / 10.0, (2.0 * np.arange(10000) + 1.0) / 20.0))
+    shifted, down, up = [centres], centres, centres
+    for _ in range(3):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        shifted += [down, up]
+    return np.concatenate(shifted)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_one_decimal_matches_percent_format_at_tenths_and_halves():
+    values = _tenths_and_halves()
+    values = np.concatenate((values, -values))
+    assert one_decimal_text(values) == ["%.1f" % v for v in values.tolist()]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_one_decimal_matches_percent_format_at_edges():
+    values = [999.95, _ulp_step(999.95, -1), _ulp_step(999.95, 1), 999.9499999, 1000.0, _ulp_step(1000.0, -1),
+              0.0, -0.0, -0.04, -0.05, -0.06, -1.0, -999.95, 5e-324, -5e-324, 2.2250738585072014e-308,
+              math.inf, -math.inf, math.nan, -math.nan, 1e300, -1e300, 1.7976931348623157e308, 0.05, 0.25]
+    assert one_decimal_text(values) == ["%.1f" % v for v in values]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.one_of(st.floats(), st.floats(0.0, 1000.0), ROUNDING_EDGES), max_size=12))
+def test_one_decimal_matches_percent_format(values):
+    assert one_decimal_text(values) == ["%.1f" % v for v in values]
+
+
+def test_compare_runs_draw_every_coordinate_from_the_tables(monkeypatch):
+    # the fast path must carry the plots it exists for: a change that sends
+    # values to the "%.1f" fallback keeps the bytes but must fail here
+    seen, on_table = [], svgplot._on_table
+
+    def recording(v):
+        k, fast = on_table(v)
+        seen.append(fast)
+        return k, fast
+
+    monkeypatch.setattr(svgplot, "_on_table", recording)
+    runs = comparison_scenarios(default_scenario())
+    assert len(runs) == 7
+    for name, scenario in runs:
+        seen.clear()
+        trace = run(scenario)
+        render_svg(trace, name)
+        coords = np.concatenate(seen)
+        assert len(coords) == 8 * len(trace.t), name    # four polylines, x and y a point
+        assert coords.all(), (name, int((~coords).sum()))
+
+
+@pytest.mark.parametrize("title", ["A & B", "<b>bold</b>", "x < y > z & w", 'say "hi" & \'bye\''])
+def test_svg_title_is_escaped(tmp_path, title):
+    path = tmp_path / "plot.svg"
+    write_svg(str(path), _flat_trace([0.0, 60.0], 16.0), title=title)
+    root = ET.parse(path).getroot()
+    assert root.find("{http://www.w3.org/2000/svg}text").text == title
+
+
+def test_plain_title_keeps_its_bytes():
+    trace = _flat_trace([0.0, 60.0], 16.0)
+    assert '>ip_heat "quoted" \'too\'</text>' in render_svg(trace, 'ip_heat "quoted" \'too\'')
 
 
 @settings(deadline=None, max_examples=300)
