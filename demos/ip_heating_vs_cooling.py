@@ -10,11 +10,10 @@ higher there.  Everywhere else the two runs are indistinguishable.
 Writes ip_heat_cool.svg and ip_heat_only.svg next to this script.
 """
 
-from dataclasses import replace
 from pathlib import Path
 
 from heatloop import compute_metrics, default_scenario, run
-from heatloop.controllers import HEATING_ONLY, ActuatorMode
+from heatloop.cli import comparison_scenarios
 from heatloop.svgplot import write_svg
 
 OUT = Path(__file__).parent / "output"
@@ -37,10 +36,10 @@ def cooling_demand_periods(trace, min_ticks=10):
 
 def main() -> None:
     OUT.mkdir(exist_ok=True)
-    base = default_scenario()
+    comparison = dict(comparison_scenarios(default_scenario()))
 
-    both = run(base)
-    heat_only = run(replace(base, actuator=ActuatorMode(mode=HEATING_ONLY, q_max=base.actuator.q_max)))
+    both = run(comparison["ip_heat_cool"])
+    heat_only = run(comparison["ip_heat"])
 
     print("iP on the reference scenario, heat+cool vs heating-only")
     print()

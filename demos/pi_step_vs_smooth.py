@@ -11,10 +11,10 @@ as the baseline it is usually compared against.
 Writes pi_step.svg and pi_smooth.svg next to this script.
 """
 
-from dataclasses import replace
 from pathlib import Path
 
-from heatloop import PiController, compute_metrics, default_scenario, run
+from heatloop import compute_metrics, default_scenario, run
+from heatloop.cli import comparison_scenarios
 from heatloop.svgplot import write_svg
 
 OUT = Path(__file__).parent / "output"
@@ -22,12 +22,12 @@ OUT = Path(__file__).parent / "output"
 
 def main() -> None:
     OUT.mkdir(exist_ok=True)
-    base = default_scenario()
+    comparison = dict(comparison_scenarios(default_scenario()))
 
     runs = {
-        "pi_step": replace(base, controller=PiController(), reference_mode="step"),
-        "pi_smooth": replace(base, controller=PiController(), reference_mode="smooth"),
-        "ip_smooth": base,
+        "pi_step": comparison["pi_step"],
+        "pi_smooth": comparison["pi_smooth"],
+        "ip_smooth": comparison["ip_heat_cool"],
     }
 
     print("PI under step vs smooth references (iP shown for scale)")

@@ -150,31 +150,31 @@ def _parse_lines(text: str) -> dict[str, str]:
 def _load_t_ext_table(path: str, source: str) -> TableTExt:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            rows = [line.strip() for line in fh]
+            rows = [row for row in map(str.strip, fh) if row and not row.startswith("#")]
     except (OSError, ValueError) as exc:
         raise ConfigError(f"t_ext.file: cannot read {path!r}: {exc}") from None
-    times: list[float] = []
-    temps: list[float] = []
-    for row in rows:
-        if not row or row.startswith("#"):
-            continue
+    data = []    # the (time, temp) rows
+    for i, row in enumerate(rows):
         cells = [c.strip() for c in row.split(",")]
         if len(cells) != 2:
             raise ConfigError(f"t_ext.file {path!r}: expected 2 columns, got {row!r}")
-        try:
-            t, temp = float(cells[0]), float(cells[1])
-        except ValueError:
-            if not times:    # tolerate a single header row
-                continue
-            raise ConfigError(f"t_ext.file {path!r}: bad number in {row!r}") from None
-        if not (math.isfinite(t) and math.isfinite(temp)):
+        numbers = []
+        for cell in cells:
+            try:
+                numbers.append(float(cell))
+            except ValueError:
+                pass
+        if i == 0 and not numbers:    # a header row: neither cell is a number
+            continue
+        if len(numbers) != 2:
+            raise ConfigError(f"t_ext.file {path!r}: bad number in {row!r}")
+        if not all(map(math.isfinite, numbers)):
             raise ConfigError(f"t_ext.file {path!r}: non-finite value in {row!r}")
-        times.append(t)
-        temps.append(temp)
-    if len(times) < 2:
+        data.append(numbers)
+    if len(data) < 2:
         raise ConfigError(f"t_ext.file {path!r}: need at least two data rows")
     try:
-        return TableTExt(tuple(times), tuple(temps), source=source)
+        return TableTExt(*zip(*data), source=source)
     except ValueError as exc:    # times that do not increase
         raise ConfigError(f"t_ext.file {path!r}: {exc}") from None
 

@@ -61,8 +61,8 @@ class IpController:
     def __post_init__(self) -> None:
         if self.alpha == 0.0 or not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be a finite nonzero number, got {self.alpha!r}")
-        if not 2 <= self.window_len <= sys.maxsize:
-            raise ValueError(f"window_len must be between 2 and {sys.maxsize}, got {self.window_len!r}")
+        if not (isinstance(self.window_len, int) and 2 <= self.window_len <= sys.maxsize):
+            raise ValueError(f"window_len must be an integer between 2 and {sys.maxsize}, got {self.window_len!r}")
 
 
 @dataclass(frozen=True)

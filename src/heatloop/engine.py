@@ -43,12 +43,11 @@ import os
 import pickle
 import sys
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple, Union
+from typing import NamedTuple, Union, get_args
 
 import numpy as np
 
 from .controllers import (
-    CONTROLLERS,
     ActuatorMode,
     ControllerConfig,
     IpController,
@@ -182,6 +181,11 @@ def _too_many_ticks(sc: Scenario) -> ValueError:
     return ValueError(f"horizon={sc.horizon!r} / dt={sc.dt!r} gives {ticks}, too many to hold in memory")
 
 
+_PART_TYPES = {"plant": (ThermalParams,), "initial": (ThermalState,), "schedule": (Schedule,),
+               "controller": get_args(ControllerConfig), "actuator": (ActuatorMode,), "t_ext": get_args(TExtProfile),
+               "rng_seed": (int,)}
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Everything a run needs.  The defaults form the frozen reference
@@ -211,6 +215,9 @@ class Scenario:
         return round(self.horizon / self.dt)
 
     def __post_init__(self) -> None:
+        for name, types in _PART_TYPES.items():    # before any check below reads a part
+            if not isinstance(getattr(self, name), types):
+                raise ValueError(f"{name} must be {' or '.join(t.__name__ for t in types)}, got {getattr(self, name)!r}")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"horizon must be positive, got {self.horizon!r}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
@@ -248,10 +255,6 @@ class Scenario:
             raise ValueError("schedule must start at or before t = 0")
         if not (math.isfinite(self.initial.t_int) and math.isfinite(self.initial.t_wall)):
             raise ValueError("initial state must be finite")
-        if getattr(self.controller, "kind", None) not in CONTROLLERS:
-            raise ValueError(f"unknown controller {self.controller!r}")
-        if not isinstance(self.rng_seed, int):
-            raise ValueError(f"rng_seed must be an integer, got {self.rng_seed!r}")
 
 
 def default_scenario(**replacements) -> Scenario:
@@ -304,21 +307,6 @@ def tick_columns(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray
     fill_reference(scenario.schedule, scenario.reference_mode, t, y_star, y_star_dot)
     block.flags.writeable = False
     return tuple(block)    # views made after the flag, so they refuse writes too
-
-
-def _raise_first_non_finite(t, y, m, w, qc, ti: float, tw: float) -> None:
-    """Raise the SimulationError a per-tick check would have raised first:
-    at tick k the controller (the measured value ``m`` and the command
-    ``qc``) is checked before the plant state the step of tick k leaves,
-    which is entry k + 1 of the state rows ``y`` and ``w`` or, at the
-    last tick, (ti, tw)."""
-    controller = ~(np.isfinite(m) & np.isfinite(qc))
-    plant = np.append(~(np.isfinite(y[1:]) & np.isfinite(w[1:])), not (math.isfinite(ti) and math.isfinite(tw)))
-    k_controller = int(np.argmax(controller)) if controller.any() else len(t)
-    k_plant = int(np.argmax(plant)) if plant.any() else len(t)
-    if k_controller <= k_plant:
-        raise SimulationError(f"non-finite controller value at tick {k_controller} (t={float(t[k_controller])})")
-    raise SimulationError(f"non-finite plant state at tick {k_plant} (t={float(t[k_plant])})")
 
 
 def run(scenario: Scenario, noise_source: np.ndarray | None = None, columns: tuple[np.ndarray, ...] | None = None) -> Trace:
@@ -411,12 +399,17 @@ def run(scenario: Scenario, noise_source: np.ndarray | None = None, columns: tup
         di, dw = ti - te, tw - te
         ti += m11 * di + m12 * dw + g_i * q_applied
         tw += m21 * di + m22 * dw + g_w * q_applied
-    # Python float arithmetic raises on none of the loop's operations, so a
-    # NaN or an infinity runs on to the end.  A non-finite state stays so,
-    # and every later measured value with it: the measured and command rows
-    # and the final state show whether any tick went wrong.
-    if not (math.isfinite(ti) and math.isfinite(tw) and np.isfinite(measured).all() and np.isfinite(q_cmd).all()):
-        _raise_first_non_finite(t, t_int, measured, t_wall, q_cmd, ti, tw)
+    # tick k checks its controller values measured[k] and q_cmd[k] (row 0) and the state
+    # its step leaves (row 1): t_int[k + 1] and t_wall[k + 1], or (ti, tw) at the last tick
+    ok = np.zeros((2, n + 1), dtype=bool)    # column n stays False: argmin gives n for a row that holds
+    np.logical_and(np.isfinite(measured), np.isfinite(q_cmd), out=ok[0, :n])
+    np.logical_and(np.isfinite(t_int[1:]), np.isfinite(t_wall[1:]), out=ok[1, :n - 1])
+    ok[1, n - 1] = math.isfinite(ti) and math.isfinite(tw)
+    k_controller, k_plant = ok.argmin(axis=1).tolist()
+    if k_controller < n and k_controller <= k_plant:
+        raise SimulationError(f"non-finite controller value at tick {k_controller} (t={float(t[k_controller])})")
+    if k_plant < n:
+        raise SimulationError(f"non-finite plant state at tick {k_plant} (t={float(t[k_plant])})")
     return Trace(t, t_int, measured, t_wall, t_ext, y_star, y_star_dot, q_cmd, q_app, f_row if ip else None)
 
 

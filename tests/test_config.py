@@ -6,6 +6,7 @@ ConfigError with the offending key or line in the message.
 """
 
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -364,6 +365,26 @@ def test_table_file_bad_number_mid_file(tmp_path):
     cfg.write_text("t_ext.kind = table\nt_ext.file = w.csv\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="bad number"):
         load_scenario(str(cfg))
+
+
+@pytest.mark.parametrize("text, outcome", [
+    ("time,temp\n0,1\n3600,2\n", (0.0, 3600.0)),
+    ("# weather\n\n time , temp \n0,1\n3600,2\n", (0.0, 3600.0)),
+    ("0,1\n3600,2\n", (0.0, 3600.0)),
+    # only a first row with no number in either cell is a header
+    ("0,5x\n3600,6\n7200,7\n", "bad number in '0,5x'"),
+    ("time,5\n0,1\n3600,2\n", "bad number in 'time,5'"),
+    ("a,b\nc,d\n0,1\n3600,2\n", "bad number in 'c,d'"),
+], ids=["header", "header_after_comment", "no_header", "bad_first_cell", "half_header", "two_headers"])
+def test_table_file_skips_only_a_leading_header(tmp_path, text, outcome):
+    table = tmp_path / "w.csv"
+    table.write_text(text, encoding="utf-8")
+    entries = f"t_ext.kind = table\nt_ext.file = {table}\n"
+    if isinstance(outcome, str):
+        with pytest.raises(ConfigError, match=re.escape(outcome)):
+            parse_scenario(entries)
+    else:
+        assert parse_scenario(entries).t_ext.times == outcome
 
 
 def test_table_file_times_not_increasing_names_the_file(tmp_path):

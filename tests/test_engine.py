@@ -6,6 +6,7 @@ import os
 import tracemalloc
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -239,6 +240,23 @@ def test_scenario_rejects_schedule_starting_late():
 def test_scenario_rejects_unknown_controller():
     with pytest.raises(ValueError, match="controller"):
         default_scenario(controller=object())
+
+
+# look-alikes that a duck-typed check accepted, and values a part's own checks
+# cannot read: each is refused with a ValueError naming the field when built
+@pytest.mark.parametrize("field, build", [
+    ("controller", lambda: default_scenario(controller=SimpleNamespace(kind="pi", k_p=-0.5, k_i=-0.01))),
+    ("t_ext", lambda: default_scenario(t_ext=SimpleNamespace(kind="constant", value=5.0))),
+    ("actuator", lambda: default_scenario(actuator="x")),
+    ("plant", lambda: default_scenario(plant="nominal")),
+    ("schedule", lambda: default_scenario(schedule=((0.0, 16.0),))),
+    ("initial", lambda: default_scenario(initial=(16.0, 14.0))),
+    ("window_len", lambda: IpController(window_len=5.0)),
+    ("window_len", lambda: IpController(window_len=2.5)),
+])
+def test_parts_of_the_wrong_type_are_refused_when_built(field, build):
+    with pytest.raises(ValueError, match=field):
+        build()
 
 
 def test_replace_checks_the_scenario_it_builds():
