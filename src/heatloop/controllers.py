@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass
 from typing import Union
 
-from .plant import NOMINAL, ThermalParams
+from .plant import NOMINAL, ThermalParams, require_numbers
 
 HEATING_ONLY = "heating_only"
 HEATING_AND_COOLING = "heating_and_cooling"
@@ -59,6 +59,7 @@ class IpController:
     kind = "ip"
 
     def __post_init__(self) -> None:
+        require_numbers(self)
         if self.alpha == 0.0 or not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be a finite nonzero number, got {self.alpha!r}")
         if not (isinstance(self.window_len, int) and 2 <= self.window_len <= sys.maxsize):
@@ -74,6 +75,9 @@ class PiController:
 
     kind = "pi"
 
+    def __post_init__(self) -> None:
+        require_numbers(self)
+
 
 @dataclass(frozen=True)
 class FlatPController:
@@ -87,6 +91,7 @@ class FlatPController:
     kind = "flat_p"
 
     def __post_init__(self) -> None:
+        require_numbers(self)
         self.corrector()    # the placement checks the pole
 
     def corrector(self) -> PiController:
@@ -103,6 +108,7 @@ class FlatPiController:
     kind = "flat_pi"
 
     def __post_init__(self) -> None:
+        require_numbers(self)
         self.corrector()    # the placement checks the pole
 
     def corrector(self) -> PiController:
@@ -174,6 +180,7 @@ class ActuatorMode:
     q_max: float = 2000.0
 
     def __post_init__(self) -> None:
+        require_numbers(self)
         if self.mode not in (HEATING_ONLY, HEATING_AND_COOLING):
             raise ValueError(f"unknown actuator mode {self.mode!r}")
         if not (math.isfinite(self.q_max) and self.q_max > 0.0):

@@ -62,6 +62,7 @@ from .plant import (
     ThermalParams,
     ThermalState,
     fastest_rate,
+    require_numbers,
     rk4_map,
     wall_equilibrium,
 )
@@ -90,6 +91,7 @@ class ConstantTExt:
     kind = "constant"
 
     def __post_init__(self) -> None:
+        require_numbers(self)
         _require_finite(self, [("value", self.value)])
 
 
@@ -105,6 +107,7 @@ class SinusoidTExt:
     kind = "sinusoid"
 
     def __post_init__(self) -> None:
+        require_numbers(self)
         _require_finite(self, [(f.name, getattr(self, f.name)) for f in fields(self)])
 
 
@@ -218,6 +221,7 @@ class Scenario:
         for name, types in _PART_TYPES.items():    # before any check below reads a part
             if not isinstance(getattr(self, name), types):
                 raise ValueError(f"{name} must be {' or '.join(t.__name__ for t in types)}, got {getattr(self, name)!r}")
+        require_numbers(self)
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"horizon must be positive, got {self.horizon!r}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):

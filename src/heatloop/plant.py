@@ -27,9 +27,22 @@ of RK4, as the oracles that the map is checked against.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 PARAMETERS = ("c_a", "c_w", "k_c", "k_f", "k_ext")    # the five physical parameters
+
+
+def require_numbers(part) -> None:
+    """ValueError naming the first field of the dataclass ``part`` declared
+    ``float`` whose value is not a real number: the declarations are the
+    one table of float fields, so the range checks after this can compare.
+    The fields are read from ``__dataclass_fields__``, as ``fields()``
+    builds a tuple for every part built."""
+    for f in part.__dataclass_fields__.values():
+        value = getattr(part, f.name)
+        if f.type == "float" and not isinstance(value, numbers.Real):
+            raise ValueError(f"{type(part).__name__}.{f.name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -44,9 +57,10 @@ class ThermalParams:
     wall_denominator_cw: bool = False
 
     def __post_init__(self) -> None:
+        require_numbers(self)
         for name in PARAMETERS:
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
+            if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"ThermalParams.{name} must be a positive finite number, got {value!r}")
 
     def scaled(self, factor: float) -> "ThermalParams":
@@ -69,6 +83,9 @@ class ThermalState:
 
     t_int: float
     t_wall: float
+
+    def __post_init__(self) -> None:
+        require_numbers(self)
 
 
 # RK4 is stable for dt*lambda on [-RK4_STABILITY, 0], where R(z) = 1 + z + z²/2 + z³/6 + z⁴/24 is at most 1

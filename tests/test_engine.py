@@ -20,6 +20,7 @@ from heatloop.controllers import (
     HEATING_ONLY,
     ActuatorMode,
     FlatPController,
+    FlatPiController,
     IpController,
     PiController,
     default_controller,
@@ -47,7 +48,7 @@ from heatloop.engine import (
     tick_columns,
     transition_spans,
 )
-from heatloop.plant import NOMINAL, ThermalState, rk4_map, wall_equilibrium
+from heatloop.plant import NOMINAL, ThermalParams, ThermalState, rk4_map, wall_equilibrium
 from heatloop.reference import Schedule
 from oracles import (
     REFERENCE_GENERATORS,
@@ -256,6 +257,26 @@ def test_scenario_rejects_unknown_controller():
 ])
 def test_parts_of_the_wrong_type_are_refused_when_built(field, build):
     with pytest.raises(ValueError, match=field):
+        build()
+
+
+# a float field that holds no number raised TypeError from the first check
+# that read it, or built and failed in run
+@pytest.mark.parametrize("build, message", [
+    (lambda: default_scenario(horizon="600"), "Scenario.horizon must be a number, got '600'"),
+    (lambda: default_scenario(noise_std=None), "Scenario.noise_std must be a number, got None"),
+    (lambda: default_scenario(dt=[60.0]), r"Scenario.dt must be a number, got \[60.0\]"),
+    (lambda: ThermalState("16", 14.0), "ThermalState.t_int must be a number, got '16'"),
+    (lambda: ThermalParams(k_ext=None), "ThermalParams.k_ext must be a number, got None"),
+    (lambda: ActuatorMode(q_max="1"), "ActuatorMode.q_max must be a number, got '1'"),
+    (lambda: IpController(alpha="x"), "IpController.alpha must be a number, got 'x'"),
+    (lambda: PiController(k_p="x"), "PiController.k_p must be a number, got 'x'"),
+    (lambda: FlatPController(pole="x"), "FlatPController.pole must be a number, got 'x'"),
+    (lambda: FlatPiController(double_pole=1j), r"FlatPiController.double_pole must be a number, got 1j"),
+    (lambda: ConstantTExt("5"), "ConstantTExt.value must be a number, got '5'"),
+], ids=["horizon", "noise_std", "dt", "state", "params", "actuator", "ip", "pi", "flat_p", "flat_pi", "t_ext"])
+def test_float_fields_that_hold_no_number_are_refused_when_built(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         build()
 
 

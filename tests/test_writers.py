@@ -1,18 +1,26 @@
 """The CSV and SVG writers against slow per-value oracles.
 
-The CSV writer formats numpy columns with %-templates, in row blocks.
-The SVG writer looks each coordinate's "%.1f" text up in two small
-tables (whole part below 1000, then the tenth) from k = rint(10 v), and
-falls back to "%.1f" % v for negatives, -0.0, 1000 or more, nan, +-inf
-and values whose 10 v is within 1e-6 of a half; every byte is
-unchanged.  The oracles below are the per-value forms they replaced: one
-``format(v, ".9g")`` per CSV cell and one ``f"{x:.1f},{y:.1f}"`` per
-polyline point, with the coordinates computed in Python floats.  The
-text must be equal, not close.  The table lookup is checked against
-"%.1f" at every tenth and half-tenth below 1000, and the seven
-``compare`` runs must draw every coordinate from the tables.
+Both writers look their text up in tables and fall back to formatting a
+value only where the tables could be wrong; every byte is unchanged.
+The CSV writer cuts each cell's "%.9g" text from a 24-byte slot filled
+from digit tables: with e = floor(log10 |v|), x = |v| 10**(8 - e) is one
+correctly rounded product, so for |v| in [1e-4, 1e6) and x not within
+1e-6 of a half, rint(x) is the nine-digit mantissa "%.9g" writes; +-0.0
+is on the table, and every other cell (near-ties, exponent form, 1e6 or
+more, nan, +-inf) falls back to "%.9g" % v.  The SVG writer looks each
+coordinate's "%.1f" text up in two small tables (whole part below 1000,
+then the tenth) from k = rint(10 v), and falls back to "%.1f" % v for
+negatives, -0.0, 1000 or more, nan, +-inf and values whose 10 v is
+within 1e-6 of a half.  The oracles below are the per-value forms they
+replaced: one ``format(v, ".9g")`` per CSV cell and one
+``f"{x:.1f},{y:.1f}"`` per polyline point, with the coordinates computed
+in Python floats.  The text must be equal, not close.  The CSV table is
+checked at its edges, the coordinate table at every tenth and half-tenth
+below 1000, and the seven ``compare`` runs must take at least 99% of
+their CSV cells and every coordinate from the tables.
 """
 
+import html
 import math
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -21,7 +29,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from heatloop import svgplot
+from heatloop import cli, svgplot
 from heatloop.cli import _CSV_BLOCK_ROWS, comparison_scenarios, write_timeseries_csv
 from heatloop.engine import Trace, default_scenario, run
 from heatloop.svgplot import (
@@ -88,6 +96,13 @@ VALUES = st.one_of(
 )
 
 
+# the edges of the CSV writer's table (|v| in [1e-4, 1e6), ties at nine
+# digits, -0.0) and of "%.9g"'s fixed notation, each with one ulp either side
+TABLE_EDGES = [_ulp_step(v, steps)
+               for v in (1e-4, 0.00009999999995, 1e-3, 0.00099999999995, 9.9999999995, 999999.9995, 1e6, 1e7, -0.0)
+               for steps in (-1, 0, 1)]
+
+
 @st.composite
 def traces(draw):
     n = draw(st.integers(0, 12))
@@ -105,6 +120,8 @@ def traces(draw):
 @given(traces())
 @example(Trace(*([np.array([0.0, -0.0, 5e-324, 1e308, -1e308, 2.0, 0.1234567885])] * 9), None))
 @example(Trace(*([np.array([_ulp_step(0.1234567885, 1), _ulp_step(0.1234567885, -1)])] * 10)))
+@example(Trace(*([np.array(TABLE_EDGES)] * 10)))
+@example(Trace(*([-np.array(TABLE_EDGES)] * 9), None))
 def test_csv_writer_matches_per_value_oracle(tmp_path, trace):
     path = tmp_path / "t.csv"
     write_timeseries_csv(str(path), trace)
@@ -127,6 +144,30 @@ def test_csv_writer_matches_oracle_across_row_blocks(tmp_path, n, f_estim):
     path = tmp_path / "t.csv"
     write_timeseries_csv(str(path), trace)
     assert path.read_bytes() == oracle_timeseries_csv(trace).encode("utf-8")
+
+
+def test_compare_runs_take_their_csv_cells_from_the_tables(monkeypatch, tmp_path):
+    # the fast path must carry the files it exists for: a change that sends
+    # cells to the "%.9g" fallback keeps the bytes but must fail here; the
+    # few it may miss are near-ties, and y_star_dot and f_estim below 1e-4
+    seen, on_table = [], cli._on_table
+
+    def recording(v):
+        n, e4, fast = on_table(v)
+        seen.append(fast.copy())
+        return n, e4, fast
+
+    monkeypatch.setattr(cli, "_on_table", recording)
+    runs = comparison_scenarios(default_scenario())
+    assert len(runs) == 7
+    for name, scenario in runs:
+        seen.clear()
+        trace = run(scenario)
+        write_timeseries_csv(str(tmp_path / "t.csv"), trace)
+        columns = sum(col is not None for col in trace)    # a blank f_estim is no cell
+        cells = np.concatenate(seen)[:, :columns]
+        assert cells.shape == (len(trace.t), columns), name
+        assert cells.sum() >= 0.99 * cells.size, (name, int((~cells).sum()))
 
 
 def test_csv_writer_peak_stays_below_one_trace(tmp_path):
@@ -238,6 +279,13 @@ def test_compare_runs_draw_every_coordinate_from_the_tables(monkeypatch):
         coords = np.concatenate(seen)
         assert len(coords) == 8 * len(trace.t), name    # four polylines, x and y a point
         assert coords.all(), (name, int((~coords).sum()))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.text())
+@example("A & B <b>bold</b> &amp; \"q\" 'q' >")
+def test_title_escape_is_html_escape_without_quotes(text):
+    assert svgplot._escape(text) == html.escape(text, quote=False)
 
 
 @pytest.mark.parametrize("title", ["A & B", "<b>bold</b>", "x < y > z & w", 'say "hi" & \'bye\''])
