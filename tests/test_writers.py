@@ -136,7 +136,10 @@ def test_csv_writer_matches_oracle_on_runs(tmp_path, name):
     assert path.read_bytes() == oracle_timeseries_csv(trace).encode("utf-8")
 
 
-@pytest.mark.parametrize("n", [_CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS])
+# the lengths around one and two blocks, and fixed lengths (255..512) that
+# keep their case names when the block size changes
+@pytest.mark.parametrize("n", sorted({_CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1,
+                                      2 * _CSV_BLOCK_ROWS, 255, 256, 257, 512}))
 @pytest.mark.parametrize("f_estim", [True, False], ids=["f_estim", "no_f_estim"])
 def test_csv_writer_matches_oracle_across_row_blocks(tmp_path, n, f_estim):
     values = np.random.default_rng(n).standard_normal((len(Trace._fields), n)) * 1e3
